@@ -5,18 +5,19 @@ discrepancy report.
 json and csv outputs are stable interfaces (schemas in schemas.py); the
 human format is for eyes only.  Exit status: 0 success (and, for `check`,
 direct-variant satisfied), 2 for `check` with the direct variant
-unsatisfied, 1 on any error."""
+unsatisfied and for a failed `verify-disk`, 1 on any error."""
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 
 from . import criteria, disk, series, summation
-from .scan import ScanRow, scan as run_scan
+from .scan import scan as run_scan
 
 SCAN_CSV_COLUMNS = (
     "criterion", "variant", "m", "xi", "gamma", "rho",
@@ -56,7 +57,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--tol", type=float, default=1e-10)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument(
+        "--seed", type=int, default=0, help="ignored; every output is deterministic"
+    )
 
     pascal = argparse.ArgumentParser(add_help=False)
     pascal.add_argument("--m", type=float, default=1.0)
@@ -123,24 +126,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args, payload: dict, header, rows, lines, status: int = 0) -> int:
+    """Write one command's result in the --format it asked for, to --out or
+    stdout, and return the command's exit status.
+
+    payload is the json object, header and rows the csv table, lines the
+    human text.  csv.writer writes floats with repr(), which is the csv
+    contract's number format; a cell that needs another format arrives as a
+    string."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return status
 
 
 def _xi_radians(args) -> float:
@@ -175,80 +184,49 @@ def _cmd_coeffs(args) -> int:
     p = series.PascalParams(args.m, args.q)
     if args.n < 2:
         raise ValueError("--n must be >= 2")
-    phis = series.pascal_coefficients(p, args.n)
-    if args.format == "json":
-        obj = {
+    phis = list(enumerate(series.pascal_coefficients(p, args.n), start=2))
+    # .17g rather than repr: phi_n is np.float64, and 0.0 must print as 0
+    return _emit(
+        args,
+        {
             "command": "coeffs",
-            "m": p.m,
-            "q": p.q,
-            "rows": [{"n": n, "phi_n": float(v)} for n, v in enumerate(phis, start=2)],
-        }
-        _emit(_json_text(obj), args.out)
-    elif args.format == "csv":
-        rows = [(n, f"{v:.17g}") for n, v in enumerate(phis, start=2)]
-        _emit(_csv_text(("n", "phi_n"), rows), args.out)
-    else:
-        lines = [f"phi_n for m={args.m}, q={args.q}"]
-        lines += [f"  n={n:<6d} phi_n={v:.17g}" for n, v in enumerate(phis, start=2)]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+            **dataclasses.asdict(p),
+            "rows": [{"n": n, "phi_n": float(v)} for n, v in phis],
+        },
+        ("n", "phi_n"),
+        [(n, f"{v:.17g}") for n, v in phis],
+        [f"phi_n for m={args.m}, q={args.q}"]
+        + [f"  n={n:<6d} phi_n={v:.17g}" for n, v in phis],
+    )
 
 
 def _cmd_identities(args) -> int:
     p = series.PascalParams(args.m, args.q)
     reports = summation.all_identity_reports(p)
-    if args.format == "json":
-        obj = {
+    return _emit(
+        args,
+        {
             "command": "identities",
-            "m": p.m,
-            "q": p.q,
-            "identities": [
-                {
-                    "identity_id": rep.identity_id,
-                    "closed_form": rep.closed_form,
-                    "truncated": rep.truncated,
-                    "truncation_order": rep.truncation_order,
-                    "abs_error": rep.abs_error,
-                }
-                for rep in reports
-            ],
-        }
-        _emit(_json_text(obj), args.out)
-    elif args.format == "csv":
-        rows = [
-            (
-                rep.identity_id,
-                repr(rep.closed_form),
-                repr(rep.truncated),
-                rep.truncation_order,
-                repr(rep.abs_error),
-            )
+            **dataclasses.asdict(p),
+            "identities": [dataclasses.asdict(rep) for rep in reports],
+        },
+        [field.name for field in dataclasses.fields(summation.IdentityReport)],
+        [dataclasses.astuple(rep) for rep in reports],
+        [f"identity checks for m={args.m}, q={args.q}"]
+        + [
+            f"  {rep.identity_id:<5s} closed={rep.closed_form:.12g} "
+            f"oracle={rep.truncated:.12g} (N={rep.truncation_order}) "
+            f"err={rep.abs_error:.3e}"
             for rep in reports
-        ]
-        header = (
-            "identity_id", "closed_form", "truncated", "truncation_order", "abs_error"
-        )
-        _emit(_csv_text(header, rows), args.out)
-    else:
-        lines = [f"identity checks for m={args.m}, q={args.q}"]
-        for rep in reports:
-            lines.append(
-                f"  {rep.identity_id:<5s} closed={rep.closed_form:.12g} "
-                f"oracle={rep.truncated:.12g} (N={rep.truncation_order}) "
-                f"err={rep.abs_error:.3e}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        ],
+    )
 
 
-def _verdict_obj(v: criteria.Verdict) -> dict:
-    return {
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "margin": v.margin,
-        "satisfied": v.satisfied,
-        "variant": v.variant,
-    }
+# the per-variant json object; disagreement is reported once per check
+_VERDICT_FIELDS = [
+    field.name for field in dataclasses.fields(criteria.Verdict)
+    if field.name != "disagreement"
+]
 
 
 def _cmd_check(args) -> int:
@@ -265,45 +243,39 @@ def _cmd_check(args) -> int:
     else:
         verdicts = {args.variant: criteria.evaluate_criterion(cid, p, c, r, args.variant)}
     disagreement = next(iter(verdicts.values())).disagreement
-    obj = {
-        "command": "check",
-        "criterion": cid.value,
-        "params": {
-            "m": p.m,
-            "q": p.q,
-            "xi": c.xi,
-            "gamma": c.gamma,
-            "rho": c.rho,
-            **(
-                {"tau_re": r.tau.real, "tau_im": r.tau.imag,
-                 "vartheta": r.vartheta, "delta": r.delta}
-                if r is not None else {}
-            ),
-        },
-        "verdicts": {name: _verdict_obj(v) for name, v in verdicts.items()},
-        "disagreement": disagreement,
-    }
-    if args.format == "csv":
-        rows = [
-            (name, repr(v.lhs), repr(v.rhs), repr(v.margin), v.satisfied)
-            for name, v in verdicts.items()
-        ]
-        _emit(_csv_text(("variant", "lhs", "rhs", "margin", "satisfied"), rows), args.out)
-    elif args.format == "human":
-        lines = [f"criterion {cid.value}"]
-        for name, v in verdicts.items():
-            flag = "satisfied" if v.satisfied else "NOT satisfied"
-            lines.append(
-                f"  {name:<9s} lhs={v.lhs:.12g} rhs={v.rhs:.12g} "
-                f"margin={v.margin:.12g} -> {flag}"
-            )
-        if disagreement is not None:
-            lines.append(f"  max inter-variant lhs spread: {disagreement:.3e}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(obj), args.out)
+    lines = [f"criterion {cid.value}"] + [
+        f"  {name:<9s} lhs={v.lhs:.12g} rhs={v.rhs:.12g} margin={v.margin:.12g} -> "
+        + ("satisfied" if v.satisfied else "NOT satisfied")
+        for name, v in verdicts.items()
+    ]
+    if disagreement is not None:
+        lines.append(f"  max inter-variant lhs spread: {disagreement:.3e}")
     decisive = verdicts.get("direct") or next(iter(verdicts.values()))
-    return 0 if decisive.satisfied else 2
+    return _emit(
+        args,
+        {
+            "command": "check",
+            "criterion": cid.value,
+            "params": {
+                **dataclasses.asdict(p),
+                **dataclasses.asdict(c),
+                **(
+                    {"tau_re": r.tau.real, "tau_im": r.tau.imag,
+                     "vartheta": r.vartheta, "delta": r.delta}
+                    if r is not None else {}
+                ),
+            },
+            "verdicts": {
+                name: {f: getattr(v, f) for f in _VERDICT_FIELDS}
+                for name, v in verdicts.items()
+            },
+            "disagreement": disagreement,
+        },
+        ("variant", "lhs", "rhs", "margin", "satisfied"),
+        [(name, v.lhs, v.rhs, v.margin, v.satisfied) for name, v in verdicts.items()],
+        lines,
+        0 if decisive.satisfied else 2,
+    )
 
 
 def _build_function(args):
@@ -337,51 +309,34 @@ def _cmd_verify_disk(args) -> int:
     report = disk.verify_on_disk(
         f, c, args.family, grid, tolerance=1e-6, tail_check=tail_check
     )
-    obj = {
-        "command": "verify-disk",
-        "function": args.function,
-        "family": args.family,
-        "params": {
-            "m": args.m, "q": args.q,
-            "xi": c.xi, "gamma": c.gamma, "rho": c.rho,
+    flag = "PASS (no violation found)" if report.passed else "FAIL"
+    return _emit(
+        args,
+        {
+            "command": "verify-disk",
+            "function": args.function,
+            "family": args.family,
+            # the raw --m/--q, echoed even for functions that ignore them
+            "params": {"m": args.m, "q": args.q, **dataclasses.asdict(c)},
+            "pass": report.passed,
+            "min_value": report.min_value,
+            "witness": {"re": report.witness.real, "im": report.witness.imag},
+            "points_checked": report.points_checked,
+            "note": report.note,
         },
-        "pass": report.passed,
-        "min_value": report.min_value,
-        "witness": {"re": report.witness.real, "im": report.witness.imag},
-        "points_checked": report.points_checked,
-        "note": report.note,
-    }
-    if args.format == "human":
-        flag = "PASS (no violation found)" if report.passed else "FAIL"
-        _emit(
-            f"{flag}: min={report.min_value:.12g} at z={report.witness} "
-            f"({report.points_checked} points)\n",
-            args.out,
-        )
-    elif args.format == "csv":
-        rows = [
-            (
-                args.function, args.family, report.passed,
-                repr(report.min_value),
-                repr(report.witness.real), repr(report.witness.imag),
-                report.points_checked,
-            )
-        ]
-        header = (
+        (
             "function", "family", "pass", "min_value",
             "witness_re", "witness_im", "points_checked",
-        )
-        _emit(_csv_text(header, rows), args.out)
-    else:
-        _emit(_json_text(obj), args.out)
-    return 0 if report.passed else 2
-
-
-def _row_tuple(row: ScanRow):
-    return (
-        row.criterion, row.variant,
-        repr(row.m), repr(row.xi), repr(row.gamma), repr(row.rho),
-        repr(row.q_star), row.iterations, repr(row.residual_margin),
+        ),
+        [(
+            args.function, args.family, report.passed, report.min_value,
+            report.witness.real, report.witness.imag, report.points_checked,
+        )],
+        [
+            f"{flag}: min={report.min_value:.12g} at z={report.witness} "
+            f"({report.points_checked} points)"
+        ],
+        0 if report.passed else 2,
     )
 
 
@@ -394,41 +349,28 @@ def _cmd_scan(args) -> int:
         cid, args.variant, args.m_grid, xi_grid, args.gamma_grid, rho_grid,
         r=r, tol=args.tol,
     )
-    if args.format == "csv":
-        _emit(_csv_text(SCAN_CSV_COLUMNS, [_row_tuple(r_) for r_ in rows]), args.out)
-    elif args.format == "human":
-        lines = [f"critical q for {cid.value} ({args.variant})"]
-        for row in rows:
-            tag = f" [{row.boundary}]" if row.boundary else ""
-            tag += f" [error: {row.error}]" if row.error else ""
-            lines.append(
-                f"  m={row.m:g} xi={row.xi:.4f} gamma={row.gamma:g} rho={row.rho:g}"
-                f" -> q*={row.q_star:.12g} ({row.iterations} it,"
-                f" residual {row.residual_margin:.2e}){tag}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        obj = {
-            "command": "scan",
-            "rows": [
-                {
-                    "criterion": row.criterion,
-                    "variant": row.variant,
-                    "m": row.m,
-                    "xi": row.xi,
-                    "gamma": row.gamma,
-                    "rho": row.rho,
-                    "q_star": row.q_star,
-                    "iterations": row.iterations,
-                    "residual_margin": row.residual_margin,
-                    "boundary": row.boundary,
-                    "error": row.error,
-                }
-                for row in rows
-            ],
-        }
-        _emit(_json_text(obj), args.out)
-    return 0
+    objs = [dataclasses.asdict(row) for row in rows]
+    lines = [f"critical q for {cid.value} ({args.variant})"]
+    for row in rows:
+        tag = f" [{row.boundary}]" if row.boundary else ""
+        tag += f" [error: {row.error}]" if row.error else ""
+        lines.append(
+            f"  m={row.m:g} xi={row.xi:.4f} gamma={row.gamma:g} rho={row.rho:g}"
+            f" -> q*={row.q_star:.12g} ({row.iterations} it,"
+            f" residual {row.residual_margin:.2e}){tag}"
+        )
+    return _emit(
+        args,
+        {"command": "scan", "rows": objs},
+        SCAN_CSV_COLUMNS,
+        [[obj[col] for col in SCAN_CSV_COLUMNS] for obj in objs],
+        lines,
+    )
+
+
+_DISCREPANCY_CSV_COLUMNS = (
+    "criterion", "m", "q", "xi", "gamma", "rho", "paper_lhs", "direct_lhs", "abs_diff",
+)
 
 
 def _cmd_discrepancy(args) -> int:
@@ -441,34 +383,23 @@ def _cmd_discrepancy(args) -> int:
         rho_grid=args.rho_grid,
         r=_rtau_from(args),
     )
-    obj = {"command": "discrepancy-report", **report}
-    if args.format == "csv":
-        header = (
-            "criterion", "m", "q", "xi", "gamma", "rho",
-            "paper_lhs", "direct_lhs", "abs_diff",
-        )
-        rows = [
-            (
-                row["criterion"],
-                repr(row["m"]), repr(row["q"]), repr(row["xi"]),
-                repr(row["gamma"]), repr(row["rho"]),
-                repr(row["paper_lhs"]), repr(row["direct_lhs"]),
-                repr(row["abs_diff"]),
-            )
+    return _emit(
+        args,
+        {"command": "discrepancy-report", **report},
+        _DISCREPANCY_CSV_COLUMNS,
+        [
+            [row[col] for col in _DISCREPANCY_CSV_COLUMNS]
             for row in report["flagged_rows"]
-        ]
-        _emit(_csv_text(header, rows), args.out)
-    elif args.format == "human":
-        lines = [
+        ],
+        [
             f"paper-vs-direct discrepancies over {report['points_checked']} points "
             f"(threshold {report['threshold']:g}, scaled):"
         ]
-        for cid, count in report["flagged_counts"].items():
-            lines.append(f"  {cid:<15s} {count} flagged")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(obj), args.out)
-    return 0
+        + [
+            f"  {cid:<15s} {count} flagged"
+            for cid, count in report["flagged_counts"].items()
+        ],
+    )
 
 
 _DISPATCH = {

@@ -14,16 +14,23 @@ For the starlike-side criteria on Theta and its integral transform into the
 convex class (theta-in-s / integral-in-k), the raw coefficient sum is
 rearranged by an exact monotone transform so that all three variants report
 the same left-hand scale; the satisfied flag is unchanged by this.
+
+For the convolution criteria (lambda-in-s / lambda-in-k) the closed forms
+replace the R^tau bound 1/(1+vartheta(n-1)) by the larger 1/(vartheta n), so
+they equal direct only at vartheta = 1 and are upper bounds otherwise; at
+m=2, q=0.3, xi=gamma=rho=0, lambda-in-s gives paper 1.4571 vs direct 1.2406
+at vartheta 0.7.  The printed lambda-in-k form also carries the convex-side
+erratum and differs from direct at every vartheta.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .series import PascalParams, PowerSeries, RTauParams
+from .series import PascalParams, PowerSeries, RTauParams, rtau_bound
 from .summation import oracle_sum, sum_Sinv
 
 
@@ -181,10 +188,6 @@ def _lhs_direct(
     cid: CriterionId, p: PascalParams, c: SpiralClassParams, r: RTauParams | None
 ) -> float:
     t = (1.0 - p.q) ** p.m
-
-    def bound(n):
-        return 2.0 * abs(r.tau) * (1.0 - r.delta) / (1.0 + r.vartheta * (n - 1.0))
-
     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
         # for the integral transform the convex weight n*weight_S(n) meets
         # coefficients phi_n/n; the n*(1/n) cancellation is exact, so both
@@ -196,9 +199,9 @@ def _lhs_direct(
     if cid is CriterionId.G_IN_S:
         return _direct_sum(lambda n: weight_S(n, c) / n, p)
     if cid is CriterionId.LAMBDA_RTAU_IN_S:
-        return _direct_sum(lambda n: weight_S(n, c) * bound(n), p)
+        return _direct_sum(lambda n: weight_S(n, c) * rtau_bound(n, r), p)
     if cid is CriterionId.LAMBDA_RTAU_IN_K:
-        return _direct_sum(lambda n: weight_K(n, c) * bound(n), p)
+        return _direct_sum(lambda n: weight_K(n, c) * rtau_bound(n, r), p)
     raise ValueError(cid)
 
 
@@ -237,17 +240,7 @@ def evaluate_all(
     verdicts = {v: evaluate_criterion(cid, p, c, r, v) for v in VARIANTS}
     values = [verdicts[v].lhs for v in VARIANTS]
     spread = max(abs(a - b) for a in values for b in values)
-    return {
-        v: Verdict(
-            lhs=verdicts[v].lhs,
-            rhs=verdicts[v].rhs,
-            margin=verdicts[v].margin,
-            satisfied=verdicts[v].satisfied,
-            variant=v,
-            disagreement=spread,
-        )
-        for v in VARIANTS
-    }
+    return {v: replace(verdicts[v], disagreement=spread) for v in VARIANTS}
 
 
 def corollary(

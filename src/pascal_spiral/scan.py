@@ -6,7 +6,7 @@ the margin in q is asserted empirically before every search."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .criteria import CriterionId, SpiralClassParams, evaluate_criterion
 from .series import PascalParams, RTauParams
@@ -122,34 +122,10 @@ def scan(
                 for rho in rho_grid:
                     c = SpiralClassParams(xi=xi, gamma=gamma, rho=rho)
                     try:
-                        res = critical_q(cid, variant, m, c, r, tol)
-                        rows.append(
-                            ScanRow(
-                                criterion=cid.value,
-                                variant=variant,
-                                m=m,
-                                xi=xi,
-                                gamma=gamma,
-                                rho=rho,
-                                q_star=res.q_star,
-                                iterations=res.iterations,
-                                residual_margin=res.residual_margin,
-                                boundary=res.boundary,
-                            )
-                        )
+                        res, error = critical_q(cid, variant, m, c, r, tol), ""
                     except Exception as exc:  # per-row capture, scan continues
-                        rows.append(
-                            ScanRow(
-                                criterion=cid.value,
-                                variant=variant,
-                                m=m,
-                                xi=xi,
-                                gamma=gamma,
-                                rho=rho,
-                                q_star=0.0,
-                                iterations=0,
-                                residual_margin=0.0,
-                                error=str(exc),
-                            )
-                        )
+                        res, error = CriticalQ(0.0, 0, 0.0), str(exc)
+                    rows.append(ScanRow(
+                        cid.value, variant, m, xi, gamma, rho, **asdict(res), error=error
+                    ))
     return rows

@@ -3,7 +3,6 @@ convolution, the integral transform, and coefficient bounds for the
 bounded-turning-type class R^tau."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,18 +11,23 @@ TRUNCATION_CAP = 100_000
 TAIL_THRESHOLD = 1e-14
 
 
-class SeriesTruncationError(RuntimeError):
-    """The adaptive truncation rule hit the order cap before its tail bound
-    was met.  Carries the magnitude of the last computed term so callers can
-    distinguish divergence from slow convergence."""
+class SummationDivergenceError(RuntimeError):
+    """A truncated series or sum (adaptive_truncation_order, oracle_sum) hit
+    the order cap with its geometric tail bound still unmet.
+
+    Carries the magnitude of the last computed term so callers can
+    distinguish a divergent sum from a slowly converging one."""
 
     def __init__(self, last_term: float, order: int):
         super().__init__(
-            f"series tail bound not met within {order} terms "
+            f"summation did not converge within {order} terms "
             f"(last term magnitude {last_term:.3e})"
         )
         self.last_term = last_term
         self.order = order
+
+
+SeriesTruncationError = SummationDivergenceError
 
 
 @dataclass(frozen=True)
@@ -60,19 +64,23 @@ class RTauParams:
             raise ValueError(f"delta must be < 1, got {self.delta}")
 
 
-def pascal_pmf(k: int, p: PascalParams) -> float:
-    """P(x = k) = C(k+m-1, m-1) q^k (1-q)^m.
-
-    The binomial coefficient is accumulated as a rising-factorial product
+def _pmf_prefix(p: PascalParams, k_max: int) -> np.ndarray:
+    """P(x = 0), ..., P(x = k_max) by the multiplicative recurrence: the
+    binomial coefficient is accumulated as a rising-factorial product
     (m)(m+1)...(m+k-1)/k!, which stays finite for real m and avoids
-    factorial overflow.
-    """
+    factorial overflow."""
+    j = np.arange(1.0, k_max + 1.0)
+    factors = np.empty(k_max + 1)
+    factors[0] = (1.0 - p.q) ** p.m
+    factors[1:] = (p.q * (p.m + j - 1.0)) / j
+    return np.cumprod(factors)
+
+
+def pascal_pmf(k: int, p: PascalParams) -> float:
+    """P(x = k) = C(k+m-1, m-1) q^k (1-q)^m."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    value = (1.0 - p.q) ** p.m
-    for j in range(1, k + 1):
-        value *= (p.q * (p.m + j - 1.0)) / j
-    return value
+    return float(_pmf_prefix(p, k)[-1])
 
 
 def pascal_coefficient(n: int, p: PascalParams) -> float:
@@ -86,15 +94,11 @@ def pascal_coefficient(n: int, p: PascalParams) -> float:
 
 
 def pascal_coefficients(p: PascalParams, n_max: int) -> np.ndarray:
-    """phi_n for n = 2..n_max as an array, via the same multiplicative
-    recurrence as pascal_pmf (bitwise-identical values)."""
+    """phi_n for n = 2..n_max as an array, via the same recurrence as
+    pascal_pmf (bitwise-identical values)."""
     if n_max < 2:
         return np.empty(0)
-    j = np.arange(1.0, n_max)
-    factors = np.empty(n_max)
-    factors[0] = (1.0 - p.q) ** p.m
-    factors[1:] = (p.q * (p.m + j - 1.0)) / j
-    return np.cumprod(factors)[1:]
+    return _pmf_prefix(p, n_max - 1)[1:]
 
 
 class PowerSeries:
@@ -202,20 +206,25 @@ def integral_transform(f: PowerSeries) -> PowerSeries:
     return PowerSeries(f.coeffs / n)
 
 
+def rtau_bound(n, r: RTauParams):
+    """2|tau|(1-delta)/(1+vartheta(n-1)), vectorised in n; unchecked, for
+    callers whose n >= 2 by construction."""
+    return 2.0 * abs(r.tau) * (1.0 - r.delta) / (1.0 + r.vartheta * (n - 1.0))
+
+
 def rtau_coefficient_bound(n: int, r: RTauParams) -> float:
     """Sharp coefficient bound 2|tau|(1-delta)/(1+vartheta(n-1)) for members
     of R^tau(vartheta, delta), n >= 2."""
     if n < 2:
         raise ValueError(f"coefficient index must be >= 2, got {n}")
-    return 2.0 * abs(r.tau) * (1.0 - r.delta) / (1.0 + r.vartheta * (n - 1.0))
+    return rtau_bound(n, r)
 
 
 def extremal_rtau_series(r: RTauParams, order: int) -> PowerSeries:
     """Worst-case series whose every coefficient sits on the R^tau bound."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    n = np.arange(2.0, order + 1.0)
-    return PowerSeries(2.0 * abs(r.tau) * (1.0 - r.delta) / (1.0 + r.vartheta * (n - 1.0)))
+    return PowerSeries(rtau_bound(np.arange(2.0, order + 1.0), r))
 
 
 def _check_disk(z) -> None:

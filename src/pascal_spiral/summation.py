@@ -13,22 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import PascalParams, TAIL_THRESHOLD, TRUNCATION_CAP
-
-
-class SummationDivergenceError(RuntimeError):
-    """oracle_sum hit the order cap with the tail bound still unmet.
-
-    Carries the magnitude of the last term so callers can distinguish a
-    divergent sum from a slowly converging one."""
-
-    def __init__(self, last_term: float, order: int):
-        super().__init__(
-            f"summation did not converge within {order} terms "
-            f"(last term magnitude {last_term:.3e})"
-        )
-        self.last_term = last_term
-        self.order = order
+from .series import PascalParams, SummationDivergenceError, TAIL_THRESHOLD, TRUNCATION_CAP
 
 
 def _weight_one(n):

@@ -5,6 +5,7 @@ import pytest
 from pascal_spiral import (
     PascalParams,
     SummationDivergenceError,
+    adaptive_truncation_order,
     all_identity_reports,
     identity_report,
     oracle_sum,
@@ -77,10 +78,15 @@ class TestOracle:
         assert value == 0.0
 
     def test_divergence_reports_last_term(self):
-        with pytest.raises(SummationDivergenceError) as info:
-            oracle_sum("one", PascalParams(1.0, 0.99), cap=100)
-        assert info.value.last_term > 0
-        assert info.value.order == 100
+        p = PascalParams(1.0, 0.99)
+        for hit_cap in (
+            lambda: oracle_sum("one", p, cap=100),
+            lambda: adaptive_truncation_order(p, cap=100),
+        ):
+            with pytest.raises(SummationDivergenceError) as info:
+                hit_cap()
+            assert info.value.last_term > 0
+            assert info.value.order == 100
 
     def test_deterministic_truncation_order(self):
         p = PascalParams(3, 0.6)
