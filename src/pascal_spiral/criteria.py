@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -160,9 +161,18 @@ def _m1_raw_closed(p: PascalParams, c: SpiralClassParams) -> float:
     return _slope(c) * p.q * p.m / (1.0 - p.q) + (1.0 - c.gamma) * (1.0 - t)
 
 
-def _direct_sum(weight_fn, p: PascalParams) -> float:
-    value, _ = oracle_sum(weight_fn, p)
-    return (1.0 - p.q) ** p.m * value
+def _direct_sum(weight_fn, p: PascalParams) -> list[float]:
+    values, _ = oracle_sum(weight_fn, p)
+    t = (1.0 - p.q) ** p.m
+    return [t * value for value in values.tolist()]
+
+
+def _columns(cs) -> SimpleNamespace:
+    """The parameters of the classes cs as (k, 1) columns under the
+    SpiralClassParams names, so that weight_S(n, _columns(cs)) holds one row
+    per class, each computed elementwise as weight_S(n, c)."""
+    cols = np.array([[c.rho, c.gamma, c.sec_xi] for c in cs]).reshape(-1, 3)
+    return SimpleNamespace(rho=cols[:, 0:1], gamma=cols[:, 1:2], sec_xi=cols[:, 2:3])
 
 
 def _lhs_closed(
@@ -185,23 +195,25 @@ def _lhs_closed(
 
 
 def _lhs_direct(
-    cid: CriterionId, p: PascalParams, c: SpiralClassParams, r: RTauParams | None
-) -> float:
-    t = (1.0 - p.q) ** p.m
+    cid: CriterionId, p: PascalParams, cs, r: RTauParams | None
+) -> list[float]:
+    """Direct lhs of each class in the sequence cs, from one oracle pass."""
+    cols = _columns(cs)
     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
         # for the integral transform the convex weight n*weight_S(n) meets
         # coefficients phi_n/n; the n*(1/n) cancellation is exact, so both
         # criteria share one sum
-        raw = _direct_sum(lambda n: weight_S(n, c), p)
-        return (raw - (1.0 - c.gamma) * (1.0 - t)) / t
+        t = (1.0 - p.q) ** p.m
+        raw = _direct_sum(lambda n: weight_S(n, cols), p)
+        return [(v - (1.0 - c.gamma) * (1.0 - t)) / t for v, c in zip(raw, cs)]
     if cid is CriterionId.THETA_IN_K:
-        return _direct_sum(lambda n: weight_K(n, c), p)
+        return _direct_sum(lambda n: weight_K(n, cols), p)
     if cid is CriterionId.G_IN_S:
-        return _direct_sum(lambda n: weight_S(n, c) / n, p)
+        return _direct_sum(lambda n: weight_S(n, cols) / n, p)
     if cid is CriterionId.LAMBDA_RTAU_IN_S:
-        return _direct_sum(lambda n: weight_S(n, c) * rtau_bound(n, r), p)
+        return _direct_sum(lambda n: weight_S(n, cols) * rtau_bound(n, r), p)
     if cid is CriterionId.LAMBDA_RTAU_IN_K:
-        return _direct_sum(lambda n: weight_K(n, c) * rtau_bound(n, r), p)
+        return _direct_sum(lambda n: weight_K(n, cols) * rtau_bound(n, r), p)
     raise ValueError(cid)
 
 
@@ -222,7 +234,7 @@ def evaluate_criterion(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "direct":
-        lhs = _lhs_direct(cid, p, c, r)
+        lhs = _lhs_direct(cid, p, (c,), r)[0]
     else:
         lhs = _lhs_closed(cid, p, c, r, rederived=(variant == "rederived"))
     rhs = 1.0 - c.gamma
@@ -278,39 +290,55 @@ def discrepancy_report(
     """Compare the printed closed form against the direct sum for every
     criterion over the grid; collect the rows where they disagree.
 
+    The direct sums of all classes at one (criterion, m, q) come from one
+    batched oracle pass; each equals its evaluate_criterion lhs bit for bit.
+
     The flag threshold is scaled by max(1, |direct|): at the large-lhs corner
     of the grid plain double rounding already exceeds 1e-6 absolute, so an
     unscaled test would flag agreement noise."""
+    # an invalid class is raised where a point-by-point walk of the grid
+    # would reach it: after the classes before it, at the first (m, q)
+    classes, invalid = [], None
+    try:
+        for xi in xi_grid:
+            for gamma in gamma_grid:
+                for rho in rho_grid:
+                    classes.append(SpiralClassParams(xi, gamma, rho))
+    except ValueError as exc:
+        invalid = exc
     flagged = []
     counts = {cid.value: 0 for cid in CriterionId}
     checked = 0
     for cid in CriterionId:
+        rc = r if cid.needs_rtau else None
         for m in m_grid:
             for q in q_grid:
                 p = PascalParams(m, q)
-                for xi in xi_grid:
-                    for gamma in gamma_grid:
-                        for rho in rho_grid:
-                            c = SpiralClassParams(xi, gamma, rho)
-                            paper = _lhs_closed(cid, p, c, r if cid.needs_rtau else None, rederived=False)
-                            direct = _lhs_direct(cid, p, c, r if cid.needs_rtau else None)
-                            checked += 1
-                            diff = abs(paper - direct)
-                            if diff > threshold * max(1.0, abs(direct)):
-                                counts[cid.value] += 1
-                                flagged.append(
-                                    {
-                                        "criterion": cid.value,
-                                        "m": m,
-                                        "q": q,
-                                        "xi": xi,
-                                        "gamma": gamma,
-                                        "rho": rho,
-                                        "paper_lhs": paper,
-                                        "direct_lhs": direct,
-                                        "abs_diff": diff,
-                                    }
-                                )
+                # closed forms before the batch: whether one raises depends on
+                # (m, q) only, so it raises at the first point, as it would
+                # point by point
+                papers = [_lhs_closed(cid, p, c, rc, rederived=False) for c in classes]
+                directs = _lhs_direct(cid, p, classes, rc)
+                if invalid is not None:
+                    raise invalid
+                checked += len(classes)
+                for c, paper, direct in zip(classes, papers, directs):
+                    diff = abs(paper - direct)
+                    if diff > threshold * max(1.0, abs(direct)):
+                        counts[cid.value] += 1
+                        flagged.append(
+                            {
+                                "criterion": cid.value,
+                                "m": m,
+                                "q": q,
+                                "xi": c.xi,
+                                "gamma": c.gamma,
+                                "rho": c.rho,
+                                "paper_lhs": paper,
+                                "direct_lhs": direct,
+                                "abs_diff": diff,
+                            }
+                        )
     return {
         "threshold": threshold,
         "points_checked": checked,

@@ -155,6 +155,24 @@ def identity_series(order: int = 1) -> PowerSeries:
     return PowerSeries(np.zeros(order - 1))
 
 
+def geometric_tail(term, rhat):
+    """Bound |term| rhat/(1-rhat) on the sum after a term of magnitude |term|
+    whose successors shrink by ratios at most rhat; inf where rhat >= 1.
+    Elementwise on arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhat < 1.0, np.abs(term) * rhat / (1.0 - rhat), np.inf)
+
+
+def order_blocks(cap: int):
+    """The ranges [n0, hi) of orders n = 2..cap that a tail-bounded
+    summation walks: 512 orders first, doubling up to 16384 per block."""
+    n0, size = 2, 512
+    while n0 <= cap:
+        hi = min(n0 + size, cap + 1)
+        yield n0, hi
+        n0, size = hi, min(size * 2, 16384)
+
+
 def adaptive_truncation_order(
     p: PascalParams,
     threshold: float = TAIL_THRESHOLD,
@@ -173,13 +191,16 @@ def adaptive_truncation_order(
         return 2
     m, q = p.m, p.q
     term = pascal_coefficient(2, p) * radius**2
-    n = 2
-    while n <= cap:
+    for n0, hi in order_blocks(cap):
+        n = np.arange(float(n0), float(hi))
         rhat = radius * q * (n + m - 1.0) / n
-        if rhat < 1.0 and term * rhat / (1.0 - rhat) < threshold:
-            return n
-        term *= rhat
-        n += 1
+        # terms[i] is the scaled term at order n0 + i; the last one opens
+        # the next block
+        terms = np.cumprod(np.concatenate(([term], rhat)))
+        done = geometric_tail(terms[:-1], rhat) < threshold
+        if done.any():
+            return n0 + int(np.argmax(done))
+        term = float(terms[-1])
     raise SeriesTruncationError(term, cap)
 
 

@@ -13,7 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .series import PascalParams, SummationDivergenceError, TAIL_THRESHOLD, TRUNCATION_CAP
+from .series import (
+    PascalParams,
+    SummationDivergenceError,
+    TAIL_THRESHOLD,
+    TRUNCATION_CAP,
+    geometric_tail,
+    order_blocks,
+)
 
 
 def _weight_one(n):
@@ -40,60 +47,102 @@ WEIGHTS: dict[str, Callable] = {
 }
 
 
+# terms (rows x columns) in one sub-chunk of a block, as in the largest
+# block of a one-row sum
+_CHUNK = 16384
+
+
 def oracle_sum(
     weight,
     p: PascalParams,
     tol: float = TAIL_THRESHOLD,
     cap: int = TRUNCATION_CAP,
-) -> tuple[float, int]:
+) -> tuple[float, int] | tuple[np.ndarray, int]:
     """Brute-force sum of w(n) C(n+m-2, m-1) q^{n-1} from n = 2 up to an
-    adaptively chosen order N; returns (value, N).
+    adaptively chosen order N.
 
     weight is one of the WEIGHTS keys or a vectorised callable of at most
-    polynomial growth.  Termination uses the geometric tail bound
+    polynomial growth.  A weight returning shape (len(n),) gives (value, N).
+    One returning shape (k, len(n)) sums its k rows in one pass over one
+    shared coefficient sequence and gives (values, sum of the k orders N):
+    each row stops where it would alone, and equals bit for bit the value of
+    a weight returning that row only.
+
+    Termination uses the geometric tail bound
     |t_N| rhat/(1-rhat) < tol*max(1, |partial|), where rhat majorises every
     remaining term ratio (the coefficient ratio q(n+m-1)/n decreases in n
-    for m >= 1)."""
+    for m >= 1).  If a row has not met it by order cap, the first such row
+    raises SummationDivergenceError."""
     w = WEIGHTS[weight] if isinstance(weight, str) else weight
     m, q = p.m, p.q
     if q == 0.0:
-        return 0.0, 2
+        shape = np.shape(w(np.empty(0)))
+        k = 1 if len(shape) == 1 else shape[0]
+        return _oracle_result([0.0] * k, [2] * k, len(shape) == 1)
+    k = 0  # number of rows, told by the first weight evaluation
+    orders = [0]  # orders[i] stays 0 while row i is open
     total = 0.0
     coeff = m * q  # raw coefficient at n = 2
-    n0 = 2
-    block = 512
-    last_term = coeff
-    while n0 <= cap:
-        hi = min(n0 + block, cap + 1)
-        n = np.arange(float(n0), float(hi))
+    last_term = [coeff]
+    for n0, hi in order_blocks(cap):
+        size = hi - n0
+        # weights are evaluated once on n0..hi and sliced into w(n), w(n+1)
+        n = np.arange(float(n0), float(hi + 1))
         ratios = q * (n + m - 1.0) / n
-        factors = np.empty_like(n)
+        factors = np.empty(size)
         factors[0] = coeff
-        factors[1:] = ratios[:-1]
+        factors[1:] = ratios[: size - 1]
         coeffs = np.cumprod(factors)
-        wn = np.asarray(w(n), dtype=float)
-        terms = wn * coeffs
-        prefix = total + np.cumsum(terms)
-        wnext = np.asarray(w(n + 1.0), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        w_block = None
+        if not k:
+            # the first block (at most 512 orders) is evaluated in one call,
+            # whose shape tells k; every later call covers one sub-chunk
+            w_block = np.asarray(w(n), dtype=float)
+            scalar = w_block.ndim == 1
+            w_block = w_block.reshape(-1, size + 1)
+            k = left = w_block.shape[0]
+            if not k:
+                return np.empty(0), 0
+            values, orders = [0.0] * k, [0] * k
+            chunk = max(1, _CHUNK // k)
+        for j0 in range(0, size, chunk):
+            j1 = min(j0 + chunk, size)
+            if w_block is None:
+                w_ext = np.asarray(w(n[j0 : j1 + 1]), dtype=float).reshape(k, -1)
+            else:
+                w_ext = w_block[:, j0 : j1 + 1]
+            wn, wnext = w_ext[:, :-1], w_ext[:, 1:]
+            terms = wn * coeffs[j0:j1]
+            if j0:  # the block-local running sum carries on from the last chunk
+                run = np.cumsum(np.concatenate((run[:, -1:], terms), axis=1), axis=1)[:, 1:]
+            else:
+                run = np.cumsum(terms, axis=1)
+            prefix = total + run
             # a zero weight followed by a zero weight contributes nothing to
             # the tail ratio; a zero followed by a nonzero forces one more step
-            wratio = np.where(
-                wn != 0.0, wnext / wn, np.where(wnext == 0.0, 1.0, np.inf)
-            )
-        rhat = ratios * np.maximum(wratio, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(rhat < 1.0, np.abs(terms) * rhat / (1.0 - rhat), np.inf)
-        done = tail < tol * np.maximum(1.0, np.abs(prefix))
-        if done.any():
-            i = int(np.argmax(done))
-            return float(prefix[i]), int(n[i])
-        total = float(prefix[-1])
-        coeff = float(coeffs[-1] * ratios[-1])
-        last_term = float(abs(terms[-1]))
-        n0 = hi
-        block = min(block * 2, 16384)
-    raise SummationDivergenceError(last_term, cap)
+            wratio = np.where(wnext == 0.0, 1.0, np.inf)
+            np.divide(wnext, wn, out=wratio, where=wn != 0.0)
+            rhat = ratios[j0:j1] * np.maximum(wratio, 1.0)
+            done = geometric_tail(terms, rhat) < tol * np.maximum(1.0, np.abs(prefix))
+            if done.any():
+                first = done.argmax(axis=1)
+                for i in range(k):
+                    j = first[i]
+                    if not orders[i] and done[i, j]:
+                        values[i], orders[i] = prefix[i, j], n0 + j0 + int(j)
+                        left -= 1
+                if not left:
+                    return _oracle_result(values, orders, scalar)
+        total = prefix[:, -1:]
+        coeff = float(coeffs[-1] * ratios[size - 1])
+        last_term = np.abs(terms[:, -1])
+    raise SummationDivergenceError(float(last_term[orders.index(0)]), cap)
+
+
+def _oracle_result(values, orders, scalar):
+    if scalar:
+        return float(values[0]), orders[0]
+    return np.array(values, dtype=float), sum(orders)
 
 
 def sum_S0(p: PascalParams) -> float:
