@@ -24,16 +24,10 @@ SCAN_CSV_COLUMNS = (
     "q_star", "iterations", "residual_margin",
 )
 
-_CRITERION_ALIASES = {
-    "thm1": "theta-in-s",
-    "thm2": "theta-in-k",
-    "thm3": "lambda-in-s",
-    "thm4": "lambda-in-k",
-    "thm5": "integral-in-k",
-    "thm6": "integral-in-s",
-}
-# corollaries are the rho = 0 specialisations, in the same order
-_COROLLARY_ALIASES = {f"cor{i}": _CRITERION_ALIASES[f"thm{i}"] for i in range(1, 7)}
+# theorems 1-6 in the order CriterionId declares them; corollaries are their
+# rho = 0 specialisations, in the same order
+_CRITERION_ALIASES = {f"thm{i}": cid.value for i, cid in enumerate(criteria.CriterionId, 1)}
+_COROLLARY_ALIASES = {f"cor{i}": cid.value for i, cid in enumerate(criteria.CriterionId, 1)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +50,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--tol", type=float, default=1e-10)
     common.add_argument(
         "--seed", type=int, default=0, help="ignored; every output is deterministic"
     )
@@ -345,10 +338,7 @@ def _cmd_scan(args) -> int:
     rho_grid = [0.0] if force_rho0 else args.rho_grid
     xi_grid = [math.radians(x) for x in args.xi_grid] if args.degrees else args.xi_grid
     r = _rtau_from(args) if cid.needs_rtau else None
-    rows = run_scan(
-        cid, args.variant, args.m_grid, xi_grid, args.gamma_grid, rho_grid,
-        r=r, tol=args.tol,
-    )
+    rows = run_scan(cid, args.variant, args.m_grid, xi_grid, args.gamma_grid, rho_grid, r=r)
     objs = [dataclasses.asdict(row) for row in rows]
     lines = [f"critical q for {cid.value} ({args.variant})"]
     for row in rows:

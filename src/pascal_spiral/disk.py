@@ -132,33 +132,27 @@ def verify_on_disk(
     level = c.gamma * math.cos(c.xi)
     k = grid.angles_per_ring
     angles = np.exp(2j * math.pi * np.arange(k) / k)
-    best = math.inf
-    witness = complex(radii[0])
-    checked = 0
-    for r in radii:
-        z = r * angles
-        num, den = _num_den(f, z, c, family)
-        bad = np.abs(den) <= DENOMINATOR_FLOOR
-        if bad.any():
-            j = int(np.argmax(bad))
-            return DiskReport(
-                min_value=-math.inf,
-                witness=complex(z[j]),
-                passed=False,
-                points_checked=checked,
-                note="denominator vanished at witness",
-            )
-        vals = (phase * num / den).real - level
-        checked += k
-        j = int(np.argmin(vals))  # first occurrence: smallest angle index
-        if vals[j] < best:
-            best = float(vals[j])
-            witness = complex(z[j])
+    # ring by ring in order of radius, k angles per ring
+    z = (np.array(radii)[:, None] * angles).ravel()
+    num, den = _num_den(f, z, c, family)
+    bad = np.abs(den) <= DENOMINATOR_FLOOR
+    if bad.any():
+        j = int(np.argmax(bad))
+        return DiskReport(
+            min_value=-math.inf,
+            witness=complex(z[j]),
+            passed=False,
+            points_checked=j // k * k,
+            note="denominator vanished at witness",
+        )
+    vals = (phase * num / den).real - level
+    j = int(np.argmin(vals))  # first occurrence: innermost ring, smallest angle
+    best = float(vals[j])
     passed = best > -tolerance
     return DiskReport(
         min_value=best,
-        witness=witness,
+        witness=complex(z[j]),
         passed=passed,
-        points_checked=checked,
+        points_checked=z.size,
         note="no violation found" if passed else "violation at witness",
     )

@@ -14,6 +14,8 @@ from .summation import SummationDivergenceError
 
 Q_MAX = 1.0 - 1e-9
 MAX_ITERATIONS = 60
+# bisection stops once |margin| is at most this
+MARGIN_TOL = 1e-10
 _MONOTONE_SAMPLES = 16
 _MONOTONE_SLACK = 1e-12
 
@@ -63,7 +65,6 @@ def critical_q(
     m: float,
     c: SpiralClassParams,
     r: RTauParams | None = None,
-    tol: float = 1e-10,
 ) -> CriticalQ:
     """Bisection for the q at which the criterion margin crosses zero.
 
@@ -89,7 +90,7 @@ def critical_q(
         mid = 0.5 * (lo + hi)
         iterations += 1
         fm = _margin(cid, variant, m, mid, c, r)
-        if abs(fm) <= tol or hi - lo < 1e-14:
+        if abs(fm) <= MARGIN_TOL or hi - lo < 1e-14:
             break
         if fm > 0.0:
             lo = mid
@@ -106,7 +107,6 @@ def scan(
     gamma_grid,
     rho_grid,
     r: RTauParams | None = None,
-    tol: float = 1e-10,
 ) -> list[ScanRow]:
     """Cartesian product sweep; rows are ordered lexicographically by grid
     indices and per-row failures are captured in the row, not raised."""
@@ -122,7 +122,7 @@ def scan(
                 for rho in rho_grid:
                     c = SpiralClassParams(xi=xi, gamma=gamma, rho=rho)
                     try:
-                        res, error = critical_q(cid, variant, m, c, r, tol), ""
+                        res, error = critical_q(cid, variant, m, c, r), ""
                     except Exception as exc:  # per-row capture, scan continues
                         res, error = CriticalQ(0.0, 0, 0.0), str(exc)
                     rows.append(ScanRow(

@@ -148,11 +148,9 @@ class PowerSeries:
         return hash(self._coeffs.tobytes())
 
 
-def identity_series(order: int = 1) -> PowerSeries:
-    """The series f(z) = z, optionally padded with explicit zeros."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return PowerSeries(np.zeros(order - 1))
+def identity_series() -> PowerSeries:
+    """The series f(z) = z."""
+    return PowerSeries()
 
 
 def geometric_tail(term, rhat):
@@ -253,13 +251,6 @@ def _check_disk(z) -> None:
         raise ValueError("evaluation requires |z| < 1")
 
 
-def _horner(ascending: np.ndarray, z):
-    acc = np.zeros_like(z)
-    for c in ascending[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def _as_points(z):
     zarr = np.asarray(z, dtype=complex)
     _check_disk(zarr)
@@ -270,7 +261,7 @@ def evaluate(f: PowerSeries, z):
     """f(z) for |z| < 1 by Horner's rule; z may be a scalar or an array."""
     zarr, scalar = _as_points(z)
     full = np.concatenate(([0.0, 1.0], f.coeffs))
-    out = _horner(full, zarr)
+    out = np.polyval(full[::-1], zarr)
     return complex(out) if scalar else out
 
 
@@ -279,7 +270,7 @@ def evaluate_d1(f: PowerSeries, z):
     zarr, scalar = _as_points(z)
     n = np.arange(2.0, f.order + 1.0)
     full = np.concatenate(([1.0], n * f.coeffs))
-    out = _horner(full, zarr)
+    out = np.polyval(full[::-1], zarr)
     return complex(out) if scalar else out
 
 
@@ -288,5 +279,5 @@ def evaluate_d2(f: PowerSeries, z):
     zarr, scalar = _as_points(z)
     n = np.arange(2.0, f.order + 1.0)
     full = n * (n - 1.0) * f.coeffs
-    out = _horner(full, zarr) if full.size else np.zeros_like(zarr)
+    out = np.polyval(full[::-1], zarr)
     return complex(out) if scalar else out

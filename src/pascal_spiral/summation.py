@@ -55,7 +55,6 @@ _CHUNK = 16384
 def oracle_sum(
     weight,
     p: PascalParams,
-    tol: float = TAIL_THRESHOLD,
     cap: int = TRUNCATION_CAP,
 ) -> tuple[float, int] | tuple[np.ndarray, int]:
     """Brute-force sum of w(n) C(n+m-2, m-1) q^{n-1} from n = 2 up to an
@@ -69,10 +68,10 @@ def oracle_sum(
     a weight returning that row only.
 
     Termination uses the geometric tail bound
-    |t_N| rhat/(1-rhat) < tol*max(1, |partial|), where rhat majorises every
-    remaining term ratio (the coefficient ratio q(n+m-1)/n decreases in n
-    for m >= 1).  If a row has not met it by order cap, the first such row
-    raises SummationDivergenceError."""
+    |t_N| rhat/(1-rhat) < TAIL_THRESHOLD*max(1, |partial|), where rhat
+    majorises every remaining term ratio (the coefficient ratio q(n+m-1)/n
+    decreases in n for m >= 1).  If a row has not met it by order cap, the
+    first such row raises SummationDivergenceError."""
     w = WEIGHTS[weight] if isinstance(weight, str) else weight
     m, q = p.m, p.q
     if q == 0.0:
@@ -123,7 +122,7 @@ def oracle_sum(
             wratio = np.where(wnext == 0.0, 1.0, np.inf)
             np.divide(wnext, wn, out=wratio, where=wn != 0.0)
             rhat = ratios[j0:j1] * np.maximum(wratio, 1.0)
-            done = geometric_tail(terms, rhat) < tol * np.maximum(1.0, np.abs(prefix))
+            done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(1.0, np.abs(prefix))
             if done.any():
                 first = done.argmax(axis=1)
                 for i in range(k):

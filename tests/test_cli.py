@@ -5,7 +5,7 @@ import sys
 import jsonschema
 import pytest
 
-from pascal_spiral.cli import SCAN_CSV_COLUMNS
+from pascal_spiral.cli import _COROLLARY_ALIASES, _CRITERION_ALIASES, SCAN_CSV_COLUMNS
 from pascal_spiral.schemas import SCHEMAS
 
 
@@ -49,6 +49,21 @@ class TestExitCodes:
     def test_missing_subcommand_exits_one(self):
         r = run_cli()
         assert r.returncode == 1
+
+    def test_tol_is_not_an_option(self):
+        r = run_cli("check", "thm1", "--tol", "1e-8")
+        assert r.returncode == 1
+        assert "unrecognized arguments: --tol" in r.stderr
+
+
+def test_theorem_and_corollary_numbers():
+    # the paper's numbering: Theorems 1-6, Corollaries 1-6 at rho = 0
+    names = (
+        "theta-in-s", "theta-in-k", "lambda-in-s", "lambda-in-k",
+        "integral-in-k", "integral-in-s",
+    )
+    assert _CRITERION_ALIASES == {f"thm{i}": name for i, name in enumerate(names, 1)}
+    assert _COROLLARY_ALIASES == {f"cor{i}": name for i, name in enumerate(names, 1)}
 
 
 class TestDeterminism:

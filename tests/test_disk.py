@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,18 +7,23 @@ import pytest
 from pascal_spiral import (
     DenominatorError,
     DiskGrid,
+    DiskReport,
     PascalParams,
     PowerSeries,
+    RTauParams,
     SpiralClassParams,
     adaptive_truncation_order,
     convex_spiral_functional,
     default_grid,
+    extremal_rtau_series,
+    hadamard_convolve,
     identity_series,
     integral_transform,
     spiral_functional,
     theta_series,
     verify_on_disk,
 )
+from pascal_spiral.disk import DENOMINATOR_FLOOR, _num_den
 
 FLAT = SpiralClassParams(0.0, 0.0, 0.0)
 
@@ -174,3 +180,102 @@ class TestVerifyOnDisk:
     def test_invalid_family(self):
         with pytest.raises(ValueError):
             verify_on_disk(identity_series(), FLAT, "X")
+
+
+def _ring_by_ring_verify(f, c, family, grid, tolerance):
+    """The ring-by-ring walk with a running minimum, kept as the reference
+    for the one-pass verify_on_disk (tail check left out)."""
+    radii = tuple(sorted(grid.radii))
+    phase = cmath.exp(1j * c.xi)
+    level = c.gamma * math.cos(c.xi)
+    k = grid.angles_per_ring
+    angles = np.exp(2j * math.pi * np.arange(k) / k)
+    best = math.inf
+    witness = complex(radii[0])
+    checked = 0
+    for r in radii:
+        z = r * angles
+        num, den = _num_den(f, z, c, family)
+        bad = np.abs(den) <= DENOMINATOR_FLOOR
+        if bad.any():
+            j = int(np.argmax(bad))
+            return DiskReport(
+                -math.inf, complex(z[j]), False, checked, "denominator vanished at witness"
+            )
+        vals = (phase * num / den).real - level
+        checked += k
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best = float(vals[j])
+            witness = complex(z[j])
+    passed = best > -tolerance
+    return DiskReport(
+        best, witness, passed, checked, "no violation found" if passed else "violation at witness"
+    )
+
+
+def _seeded_disk_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(48):
+        kind = ("theta", "integral", "lambda-rtau", "random")[i % 4]
+        if kind == "random":
+            order = int(rng.integers(2, 40))
+            n = np.arange(2.0, order + 1.0)
+            f = PowerSeries(
+                (rng.normal(size=order - 1) + 1j * rng.normal(size=order - 1))
+                * rng.uniform(0.05, 2.0) / n ** rng.uniform(0.5, 2.5)
+            )
+        else:
+            f = _tight_theta(rng.uniform(1.0, 6.0), rng.uniform(0.05, 0.6))
+            if kind == "integral":
+                f = integral_transform(f)
+            elif kind == "lambda-rtau":
+                r = RTauParams(complex(*rng.uniform(-1.5, 1.5, 2)), rng.uniform(0.2, 1.0))
+                f = hadamard_convolve(f, extremal_rtau_series(r, f.order))
+        c = SpiralClassParams(
+            rng.uniform(-1.4, 1.4), rng.uniform(0.0, 0.95), rng.uniform(0.0, 0.95)
+        )
+        if i % 3 == 0:
+            grid = default_grid()
+        else:
+            # unsorted, with a repeated radius
+            radii = list(rng.uniform(0.05, 0.995, int(rng.integers(1, 8))))
+            radii += radii[:1]
+            grid = DiskGrid(tuple(radii), int(rng.integers(8, 721)))
+        cases.append((f, c, "SK"[i % 2 ^ (i // 4) % 2], grid))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(48))
+def test_one_pass_matches_ring_by_ring(case):
+    f, c, family, grid = _seeded_disk_cases()[case]
+    expected = _ring_by_ring_verify(f, c, family, grid, 1e-6)
+    got = verify_on_disk(f, c, family, grid, tail_check=False)
+    assert got == expected
+    assert math.copysign(1.0, got.witness.imag) == math.copysign(1.0, expected.witness.imag)
+
+
+@pytest.mark.parametrize("family, a2", [("S", 2.0), ("K", 1.0)])
+def test_denominator_exit_counts_the_rings_before_it(family, a2):
+    # z + 2z^2 (S) and 1 + 2z (K, the derivative of z + z^2) vanish at
+    # z = -1/2, angle index 5 of the ring of radius 0.5 with 10 angles
+    f = PowerSeries([a2])
+    grid = DiskGrid(radii=(0.9, 0.5, 0.3, 0.2, 0.5), angles_per_ring=10)
+    rep = verify_on_disk(f, FLAT, family, grid, tail_check=False)
+    assert rep == _ring_by_ring_verify(f, FLAT, family, grid, 1e-6)
+    assert rep.note == "denominator vanished at witness"
+    assert rep.points_checked == 20
+    assert rep.witness == pytest.approx(-0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_all_nan_grid_fails_at_first_point():
+    # every value overflows to nan; the ring-by-ring walk skipped rings
+    # whose minimum was nan and passed this grid with min_value = inf
+    f = PowerSeries([1e308] * 400)
+    rep = verify_on_disk(f, FLAT, "S", DiskGrid((0.1, 0.999), 16), tail_check=False)
+    assert not rep.passed
+    assert math.isnan(rep.min_value)
+    assert rep.witness == 0.1
+    assert rep.points_checked == 32

@@ -1,7 +1,9 @@
 """The batched oracle: a weight of shape (k, len(n)) sums its k rows in one
 pass, and each row must equal, bit for bit, the sum of that row alone."""
 import itertools
+import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from pascal_spiral import (
     weight_K,
     weight_S,
 )
-from pascal_spiral.criteria import _lhs_direct
+from pascal_spiral import criteria, summation
+from pascal_spiral.criteria import _lhs_closed, _lhs_direct
 from pascal_spiral.series import rtau_bound
 
 Q_GRID = (1e-6, 0.3, 0.99)
@@ -157,12 +160,74 @@ def test_empty_class_grid_checks_no_points():
     assert set(report["flagged_counts"].values()) == {0}
 
 
+@pytest.mark.parametrize("cid", list(CriterionId))
+@pytest.mark.parametrize("k", [0, 1, 18])
+def test_closed_batch_bit_equal_to_scalar_closed_forms(cid, k):
+    classes = _classes(k, seed=k)
+    r = RTAU if cid.needs_rtau else None
+    for m, q in itertools.product(M_GRID + (1.0,), (0.0,) + Q_GRID):
+        p = PascalParams(m, q)
+        for variant in ("paper", "rederived"):
+            batch = _lhs_closed(cid, p, classes, r, variant == "rederived")
+            scalar = [evaluate_criterion(cid, p, c, r, variant).lhs for c in classes]
+            assert all(type(value) is float for value in batch)
+            assert batch == scalar, (cid, m, q, variant)
+
+
+def test_report_calls_sum_Sinv_once_per_batch(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return summation.sum_Sinv(p)
+
+    monkeypatch.setattr(criteria, "sum_Sinv", counted)
+    # each sum_Sinv at |m-1| < 1e-4 is a full oracle pass
+    report = discrepancy_report(m_grid=(1.0 + 1e-6,), q_grid=(0.3, 0.6))
+    assert report["points_checked"] == 6 * 2 * 36
+    # integral-in-s and lambda-in-s at each q
+    assert len(calls) == 2 * 2
+    # over no classes no closed form runs, as point by point
+    discrepancy_report(xi_grid=(), m_grid=(1.0 + 1e-6,), q_grid=(0.3, 0.6))
+    assert len(calls) == 2 * 2
+
+
+def test_invalid_class_raises_before_any_sum(monkeypatch):
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return oracle_sum(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "oracle_sum", recorded)
+    monkeypatch.setattr(summation, "oracle_sum", recorded)
+    with pytest.raises(ValueError, match="rho"):
+        discrepancy_report(m_grid=(1.0 + 1e-6,), q_grid=(0.3,), rho_grid=(0.0, 1.5))
+    assert calls == []
+
+
+def test_underflow_in_closed_batch_raises_float_division_error():
+    # (1-q)^(m+1) underflows to 0 at m = 3000; the closed batch raises as
+    # the float division of one class does, before any direct sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            discrepancy_report(m_grid=(3000.0,), q_grid=(0.3,))
+
+
+def test_closed_batch_overflows_silently_as_floats_do(monkeypatch):
+    # at m = 2000, q = 0.3 theta-in-s and integral-in-k overflow to inf;
+    # on floats that is silent, and so it stays on the class batch
+    monkeypatch.setattr(criteria, "_lhs_direct", lambda cid, p, cs, r: [0.0] * len(cs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = discrepancy_report(threshold=0.0, m_grid=(2000.0,), q_grid=(0.3,))
+    papers = {row["criterion"]: row["paper_lhs"] for row in report["flagged_rows"]}
+    assert papers["theta-in-s"] == papers["integral-in-k"] == math.inf
+
+
 def test_report_errors_surface_in_point_by_point_order():
     one_class_then_bad = dict(xi_grid=(0.0,), gamma_grid=(0.0,), rho_grid=(0.0, 1.5))
-    # (1-q)^(m+1) underflows to 0 in the closed form at the first point,
-    # which a point-by-point walk reaches before the invalid rho
-    with pytest.raises(ZeroDivisionError):
-        discrepancy_report(m_grid=(3000.0,), q_grid=(0.3,), **one_class_then_bad)
     with pytest.raises(ValueError, match="rho"):
         discrepancy_report(m_grid=(2.0,), q_grid=(0.3,), **one_class_then_bad)
 
