@@ -71,17 +71,21 @@ def _build_parser() -> _Parser:
     rtau.add_argument("--delta", type=float, default=0.0)
 
     p = sub.add_parser("coeffs", parents=[common, pascal])
+    p.set_defaults(run=_cmd_coeffs)
     p.add_argument("--n", type=int, default=10, help="highest coefficient index")
 
-    sub.add_parser("identities", parents=[common, pascal])
+    p = sub.add_parser("identities", parents=[common, pascal])
+    p.set_defaults(run=_cmd_identities)
 
     p = sub.add_parser("check", parents=[common, pascal, klass, rtau])
+    p.set_defaults(run=_cmd_check)
     p.add_argument("criterion")
     p.add_argument(
         "--variant", choices=("paper", "rederived", "direct", "all"), default="all"
     )
 
     p = sub.add_parser("verify-disk", parents=[common, pascal, klass, rtau])
+    p.set_defaults(run=_cmd_verify_disk)
     p.add_argument(
         "--function",
         choices=("identity", "theta", "integral", "lambda-rtau", "single"),
@@ -89,10 +93,11 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--class", dest="family", choices=("S", "K"), default="S")
     p.add_argument("--a2", type=float, default=3.0, help="a_2 for --function single")
-    p.add_argument("--radii", type=_float_list, default=None)
-    p.add_argument("--angles", type=int, default=None)
+    p.add_argument("--radii", type=_float_list, default=disk.DEFAULT_RADII)
+    p.add_argument("--angles", type=int, default=disk.DiskGrid.angles_per_ring)
 
     p = sub.add_parser("scan", parents=[common, rtau])
+    p.set_defaults(run=_cmd_scan)
     p.add_argument("criterion")
     p.add_argument(
         "--variant", choices=("paper", "rederived", "direct"), default="direct"
@@ -104,6 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degrees", action="store_true")
 
     p = sub.add_parser("discrepancy-report", parents=[common, rtau])
+    p.set_defaults(run=_cmd_discrepancy)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--m-grid", type=_float_list, default=list(criteria.DEFAULT_M_GRID))
     p.add_argument("--q-grid", type=_float_list, default=list(criteria.DEFAULT_Q_GRID))
@@ -293,12 +299,7 @@ def _build_function(args):
 def _cmd_verify_disk(args) -> int:
     f, tail_check = _build_function(args)
     c = criteria.SpiralClassParams(xi=_xi_radians(args), gamma=args.gamma, rho=args.rho)
-    grid_kwargs = {}
-    if args.radii is not None:
-        grid_kwargs["radii"] = tuple(args.radii)
-    if args.angles is not None:
-        grid_kwargs["angles_per_ring"] = args.angles
-    grid = disk.DiskGrid(**grid_kwargs) if grid_kwargs else disk.default_grid()
+    grid = disk.DiskGrid(tuple(args.radii), args.angles)
     report = disk.verify_on_disk(
         f, c, args.family, grid, tolerance=1e-6, tail_check=tail_check
     )
@@ -392,21 +393,11 @@ def _cmd_discrepancy(args) -> int:
     )
 
 
-_DISPATCH = {
-    "coeffs": _cmd_coeffs,
-    "identities": _cmd_identities,
-    "check": _cmd_check,
-    "verify-disk": _cmd_verify_disk,
-    "scan": _cmd_scan,
-    "discrepancy-report": _cmd_discrepancy,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -1,197 +1,121 @@
 """JSON Schemas (draft 2020-12) for the stable CLI output formats.
 
 The human format carries no stability guarantee; json and csv do.  CSV
-column layouts are fixed per subcommand and documented in the README."""
+column layouts are fixed per subcommand and documented in the README.
+
+Every object is a closed record that requires each listed property, except
+a scan row's `boundary` and `error` and the variants in check's `verdicts`."""
+
+
+def _record(properties: dict, optional=()) -> dict:
+    """A closed object requiring every property not named in optional."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [name for name in properties if name not in optional],
+        "additionalProperties": False,
+    }
+
+
+def _payload(command: str, properties: dict) -> dict:
+    """The top-level record of one subcommand's json output."""
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        **_record({"command": {"const": command}, **properties}),
+    }
+
 
 _NUMBER = {"type": "number"}
-_COMPLEX = {
-    "type": "object",
-    "properties": {"re": _NUMBER, "im": _NUMBER},
-    "required": ["re", "im"],
-    "additionalProperties": False,
-}
+_INTEGER = {"type": "integer"}
+_STRING = {"type": "string"}
+_OBJECT = {"type": "object"}
+_COMPLEX = _record({"re": _NUMBER, "im": _NUMBER})
 
-COEFFS_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "coeffs"},
+COEFFS_SCHEMA = _payload("coeffs", {
+    "m": _NUMBER,
+    "q": _NUMBER,
+    "rows": {"type": "array", "items": _record({"n": _INTEGER, "phi_n": _NUMBER})},
+})
+
+IDENTITIES_SCHEMA = _payload("identities", {
+    "m": _NUMBER,
+    "q": _NUMBER,
+    "identities": {"type": "array", "items": _record({
+        "identity_id": {"enum": ["S0", "S1", "S2", "Sinv"]},
+        "closed_form": _NUMBER,
+        "truncated": _NUMBER,
+        "truncation_order": _INTEGER,
+        "abs_error": _NUMBER,
+    })},
+})
+
+_VERDICT = _record({
+    "lhs": _NUMBER,
+    "rhs": _NUMBER,
+    "margin": _NUMBER,
+    "satisfied": {"type": "boolean"},
+    "variant": {"enum": ["paper", "rederived", "direct"]},
+})
+
+CHECK_SCHEMA = _payload("check", {
+    "criterion": _STRING,
+    "params": _OBJECT,
+    # --variant picks which verdicts appear, so none is required
+    "verdicts": {
+        "type": "object",
+        "properties": {"paper": _VERDICT, "rederived": _VERDICT, "direct": _VERDICT},
+        "additionalProperties": False,
+    },
+    "disagreement": {"type": ["number", "null"]},
+})
+
+VERIFY_DISK_SCHEMA = _payload("verify-disk", {
+    "function": _STRING,
+    "family": {"enum": ["S", "K"]},
+    "params": _OBJECT,
+    "pass": {"type": "boolean"},
+    "min_value": _NUMBER,
+    "witness": _COMPLEX,
+    "points_checked": _INTEGER,
+    "note": _STRING,
+})
+
+SCAN_SCHEMA = _payload("scan", {
+    # boundary and error appear only on rows where they are set
+    "rows": {"type": "array", "items": _record(
+        {
+            "criterion": _STRING,
+            "variant": _STRING,
+            "m": _NUMBER,
+            "xi": _NUMBER,
+            "gamma": _NUMBER,
+            "rho": _NUMBER,
+            "q_star": _NUMBER,
+            "iterations": _INTEGER,
+            "residual_margin": _NUMBER,
+            "boundary": _STRING,
+            "error": _STRING,
+        },
+        optional=("boundary", "error"),
+    )},
+})
+
+DISCREPANCY_SCHEMA = _payload("discrepancy-report", {
+    "threshold": _NUMBER,
+    "points_checked": _INTEGER,
+    "flagged_counts": {"type": "object", "additionalProperties": _INTEGER},
+    "flagged_rows": {"type": "array", "items": _record({
+        "criterion": _STRING,
         "m": _NUMBER,
         "q": _NUMBER,
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {"n": {"type": "integer"}, "phi_n": _NUMBER},
-                "required": ["n", "phi_n"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "m", "q", "rows"],
-    "additionalProperties": False,
-}
-
-IDENTITIES_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "identities"},
-        "m": _NUMBER,
-        "q": _NUMBER,
-        "identities": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "identity_id": {"enum": ["S0", "S1", "S2", "Sinv"]},
-                    "closed_form": _NUMBER,
-                    "truncated": _NUMBER,
-                    "truncation_order": {"type": "integer"},
-                    "abs_error": _NUMBER,
-                },
-                "required": [
-                    "identity_id", "closed_form", "truncated",
-                    "truncation_order", "abs_error",
-                ],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "m", "q", "identities"],
-    "additionalProperties": False,
-}
-
-_VERDICT = {
-    "type": "object",
-    "properties": {
-        "lhs": _NUMBER,
-        "rhs": _NUMBER,
-        "margin": _NUMBER,
-        "satisfied": {"type": "boolean"},
-        "variant": {"enum": ["paper", "rederived", "direct"]},
-    },
-    "required": ["lhs", "rhs", "margin", "satisfied", "variant"],
-    "additionalProperties": False,
-}
-
-CHECK_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "check"},
-        "criterion": {"type": "string"},
-        "params": {"type": "object"},
-        "verdicts": {
-            "type": "object",
-            "properties": {
-                "paper": _VERDICT,
-                "rederived": _VERDICT,
-                "direct": _VERDICT,
-            },
-            "additionalProperties": False,
-        },
-        "disagreement": {"type": ["number", "null"]},
-    },
-    "required": ["command", "criterion", "params", "verdicts", "disagreement"],
-    "additionalProperties": False,
-}
-
-VERIFY_DISK_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "verify-disk"},
-        "function": {"type": "string"},
-        "family": {"enum": ["S", "K"]},
-        "params": {"type": "object"},
-        "pass": {"type": "boolean"},
-        "min_value": _NUMBER,
-        "witness": _COMPLEX,
-        "points_checked": {"type": "integer"},
-        "note": {"type": "string"},
-    },
-    "required": [
-        "command", "function", "family", "params", "pass",
-        "min_value", "witness", "points_checked", "note",
-    ],
-    "additionalProperties": False,
-}
-
-SCAN_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "scan"},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "criterion": {"type": "string"},
-                    "variant": {"type": "string"},
-                    "m": _NUMBER,
-                    "xi": _NUMBER,
-                    "gamma": _NUMBER,
-                    "rho": _NUMBER,
-                    "q_star": _NUMBER,
-                    "iterations": {"type": "integer"},
-                    "residual_margin": _NUMBER,
-                    "boundary": {"type": "string"},
-                    "error": {"type": "string"},
-                },
-                "required": [
-                    "criterion", "variant", "m", "xi", "gamma", "rho",
-                    "q_star", "iterations", "residual_margin",
-                ],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "rows"],
-    "additionalProperties": False,
-}
-
-DISCREPANCY_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "discrepancy-report"},
-        "threshold": _NUMBER,
-        "points_checked": {"type": "integer"},
-        "flagged_counts": {
-            "type": "object",
-            "additionalProperties": {"type": "integer"},
-        },
-        "flagged_rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "criterion": {"type": "string"},
-                    "m": _NUMBER,
-                    "q": _NUMBER,
-                    "xi": _NUMBER,
-                    "gamma": _NUMBER,
-                    "rho": _NUMBER,
-                    "paper_lhs": _NUMBER,
-                    "direct_lhs": _NUMBER,
-                    "abs_diff": _NUMBER,
-                },
-                "required": [
-                    "criterion", "m", "q", "xi", "gamma", "rho",
-                    "paper_lhs", "direct_lhs", "abs_diff",
-                ],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": [
-        "command", "threshold", "points_checked",
-        "flagged_counts", "flagged_rows",
-    ],
-    "additionalProperties": False,
-}
+        "xi": _NUMBER,
+        "gamma": _NUMBER,
+        "rho": _NUMBER,
+        "paper_lhs": _NUMBER,
+        "direct_lhs": _NUMBER,
+        "abs_diff": _NUMBER,
+    })},
+})
 
 SCHEMAS = {
     "coeffs": COEFFS_SCHEMA,

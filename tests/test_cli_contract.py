@@ -2,9 +2,10 @@
 fixed set of argument lists, pinned in tests/data/cli_contract.json.
 
 The fixture was captured from cli.main before its per-command output code
-was folded into one emitter, so a difference here is a change of the json,
-csv or human output, not noise.  After an intended change of that output,
-re-pin with
+was folded into one emitter, and its verify-disk default-grid and grid-error
+cases before the parser took the grid defaults from disk, so a difference
+here is a change of the json, csv or human output, not noise.  After an
+intended change of that output, re-pin with
 
     PYTHONPATH=src python tests/test_cli_contract.py
 """
@@ -40,6 +41,7 @@ COMMANDS = {
         "check", "cor6", "--q", "0.3", "--rho", "0.6", "--gamma", "0.25",
         "--xi", "30", "--degrees",
     ],
+    "verify-disk-default-grid": ["verify-disk", "--function", "single", "--a2", "0.1"],
     "verify-disk-pass": ["verify-disk", "--function", "identity", "--angles", "16"],
     "verify-disk-fail": [
         "verify-disk", "--function", "single", "--a2", "3", "--angles", "64",
@@ -73,6 +75,9 @@ ERRORS = {
     "coeffs-q-out-of-range": ["coeffs", "--q", "1.5"],
     "coeffs-n-too-small": ["coeffs", "--n", "1", "--format", "csv"],
     "check-unknown-criterion": ["check", "thm9"],
+    "verify-disk-too-few-angles": ["verify-disk", "--angles", "4"],
+    "verify-disk-no-radii": ["verify-disk", "--radii", ""],
+    "verify-disk-radius-too-large": ["verify-disk", "--radii", "0.5,1.0"],
 }
 CASES = {
     f"{name}-{fmt}": [*argv, "--format", fmt]

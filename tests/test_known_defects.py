@@ -1,0 +1,58 @@
+"""Known defects, each stated as the behaviour the program should have.
+
+Every test is a strict xfail that names the exception it raises today, so a
+different failure still shows, and a fix makes the suite fail until its
+marker is removed (xfail_strict in pyproject.toml)."""
+import math
+
+import pytest
+
+from pascal_spiral.criteria import CriterionId, SpiralClassParams
+from pascal_spiral.disk import DiskReport, default_grid, verify_on_disk
+from pascal_spiral.scan import BOUNDARY_ALL_Q, critical_q
+from pascal_spiral.series import PascalParams, adaptive_truncation_order, theta_series
+from pascal_spiral.summation import sum_Sinv
+
+FLAT = SpiralClassParams(0.0, 0.0, 0.0)
+
+
+def _sinv_ten_terms(m: float, q: float) -> float:
+    """sum_{n=2}^{11} c_n / n with c_n = C(n+m-2, m-1) q^{n-1}, in floats;
+    at q = 1e-6 the terms past n = 11 are below 1e-60 of the sum."""
+    total, c = 0.0, m * q
+    for n in range(2, 12):
+        total += c / n
+        c *= q * (n + m - 1.0) / n
+    return total
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="sum_Sinv's closed form cancels at small q: relative errors "
+    "5.5e-2, 9.8e-5, 4.0e-6 at q = 1e-6",
+)
+@pytest.mark.parametrize("m", [1.0002, 1.5, 3.0])
+def test_sum_sinv_is_accurate_at_small_q(m):
+    want = _sinv_ten_terms(m, 1e-6)
+    assert math.isclose(sum_Sinv(PascalParams(m, 1e-6)), want, rel_tol=1e-12)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="direct critical_q reports q* = 0.999677686817388 where the oracle "
+    "hits its term cap, although the margin 1 - q is positive for every q",
+)
+def test_direct_critical_q_finds_no_false_root():
+    result = critical_q(CriterionId.G_IN_S, "direct", 1.0, FLAT)
+    assert result.boundary == BOUNDARY_ALL_Q
+
+
+@pytest.mark.xfail(
+    raises=ValueError,
+    reason="verify_on_disk refuses the series verify-disk --m 1 --q 0.003 "
+    "builds: |a_N| r^N = 2.638e-08 > 1e-08",
+)
+def test_verify_on_disk_accepts_the_series_verify_disk_builds():
+    p = PascalParams(1.0, 0.003)
+    theta = theta_series(p, adaptive_truncation_order(p, threshold=1e-10, radius=0.995))
+    assert isinstance(verify_on_disk(theta, FLAT, "S", default_grid()), DiskReport)
