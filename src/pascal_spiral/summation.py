@@ -51,6 +51,33 @@ WEIGHTS: dict[str, Callable] = {
 # block of a one-row sum
 _CHUNK = 16384
 
+# a sum is doomed when the coefficient ratio at the cap clears 1 by more
+# than the few ulps that rounding q*(n+m-1)/n can move it at any order
+_DOOMED_RATIO = 1.0 + 8.0 * np.finfo(float).eps
+
+
+def _coefficient_blocks(m: float, q: float, cap: int):
+    """Per block [n0, hi) of order_blocks(cap): (n0, n, ratios, coeffs) with
+    n = n0..hi (one past the block, so that w(n+1) is a slice), the ratios
+    q(n+m-1)/n on n, and the raw coefficients at n0..hi-1, each block's
+    cumprod carried on from the last."""
+    coeff = m * q  # raw coefficient at n = 2
+    for n0, hi in order_blocks(cap):
+        size = hi - n0
+        n = np.arange(float(n0), float(hi + 1))
+        # q * (n + m - 1.0) / n, in place: the same operations in the same
+        # order, without a 128 KiB temporary for each
+        ratios = n + m
+        ratios -= 1.0
+        np.multiply(q, ratios, out=ratios)
+        ratios /= n
+        coeffs = np.empty(size)
+        coeffs[0] = coeff
+        coeffs[1:] = ratios[: size - 1]
+        np.cumprod(coeffs, out=coeffs)
+        yield n0, n, ratios, coeffs
+        coeff = float(coeffs[-1] * ratios[size - 1])
+
 
 def oracle_sum(
     weight,
@@ -60,38 +87,53 @@ def oracle_sum(
     """Brute-force sum of w(n) C(n+m-2, m-1) q^{n-1} from n = 2 up to an
     adaptively chosen order N.
 
-    weight is one of the WEIGHTS keys or a vectorised callable of at most
-    polynomial growth.  A weight returning shape (len(n),) gives (value, N).
-    One returning shape (k, len(n)) sums its k rows in one pass over one
-    shared coefficient sequence and gives (values, sum of the k orders N):
-    each row stops where it would alone, and equals bit for bit the value of
-    a weight returning that row only.
+    weight is one of the WEIGHTS keys or a vectorised, elementwise callable
+    of at most polynomial growth.  A weight returning shape (len(n),) gives
+    (value, N).  One returning shape (k, len(n)) sums its k rows in one pass
+    over one shared coefficient sequence and gives (values, sum of the k
+    orders N): each row stops where it would alone, and equals bit for bit
+    the value of a weight returning that row only.
 
     Termination uses the geometric tail bound
     |t_N| rhat/(1-rhat) < TAIL_THRESHOLD*max(1, |partial|), where rhat
     majorises every remaining term ratio (the coefficient ratio q(n+m-1)/n
     decreases in n for m >= 1).  If a row has not met it by order cap, the
-    first such row raises SummationDivergenceError."""
+    first such row raises SummationDivergenceError.
+
+    Doomed sums stop early.  Since the coefficient ratio decreases in n, a
+    ratio >= 1 at n = cap (with a few ulps to spare) makes every ratio up to
+    the cap >= 1; rhat, the ratio times max(1, w(n+1)/w(n)), is then >= 1
+    too, the tail bound is inf at every order, and no row, whatever its
+    weight, can stop.  Such a sum only carries its coefficient through the
+    blocks and evaluates its weight on the last one, then raises what the
+    full walk raises: the same message, last_term and order (a zero-row
+    weight still gives (empty, 0)).  Only numpy's overflow warnings can
+    differ, for sums whose weighted terms or partial sums pass the float
+    range, since those are never formed."""
     w = WEIGHTS[weight] if isinstance(weight, str) else weight
     m, q = p.m, p.q
     if q == 0.0:
         shape = np.shape(w(np.empty(0)))
         k = 1 if len(shape) == 1 else shape[0]
         return _oracle_result([0.0] * k, [2] * k, len(shape) == 1)
+    blocks = _coefficient_blocks(m, q, cap)
+    # (a cap below 2 has no block to walk, and raises below)
+    if cap >= 2 and q * (cap + m - 1.0) / cap >= _DOOMED_RATIO:
+        for _, n, _, coeffs in blocks:  # only the coefficient advances
+            if n[-1] > cap:  # the last block: w at orders cap and cap + 1
+                w_end = np.asarray(w(n[-2:]), dtype=float).reshape(-1, 2)
+                if not len(w_end):
+                    return np.empty(0), 0
+                # row 0 is the first open row; the product as in terms
+                last_term = np.abs(w_end[:1, 0] * coeffs[-1:])
+        raise SummationDivergenceError(float(last_term[0]), cap)
     k = 0  # number of rows, told by the first weight evaluation
     orders = [0]  # orders[i] stays 0 while row i is open
     total = 0.0
-    coeff = m * q  # raw coefficient at n = 2
-    last_term = [coeff]
-    for n0, hi in order_blocks(cap):
-        size = hi - n0
+    last_term = [m * q]
+    for n0, n, ratios, coeffs in blocks:
+        size = len(coeffs)
         # weights are evaluated once on n0..hi and sliced into w(n), w(n+1)
-        n = np.arange(float(n0), float(hi + 1))
-        ratios = q * (n + m - 1.0) / n
-        factors = np.empty(size)
-        factors[0] = coeff
-        factors[1:] = ratios[: size - 1]
-        coeffs = np.cumprod(factors)
         w_block = None
         if not k:
             # the first block (at most 512 orders) is evaluated in one call,
@@ -133,7 +175,6 @@ def oracle_sum(
                 if not left:
                     return _oracle_result(values, orders, scalar)
         total = prefix[:, -1:]
-        coeff = float(coeffs[-1] * ratios[size - 1])
         last_term = np.abs(terms[:, -1])
     raise SummationDivergenceError(float(last_term[orders.index(0)]), cap)
 

@@ -39,8 +39,9 @@ def test_sum_sinv_is_accurate_at_small_q(m):
 
 @pytest.mark.xfail(
     raises=AssertionError,
-    reason="direct critical_q reports q* = 0.999677686817388 where the oracle "
-    "hits its term cap, although the margin 1 - q is positive for every q",
+    reason="direct critical_q reports q* = 0.999677686817388 after 44 midpoint "
+    "steps toward the -inf its margin gives where the oracle hits its term cap, "
+    "although the margin 1 - q is positive for every q",
 )
 def test_direct_critical_q_finds_no_false_root():
     result = critical_q(CriterionId.G_IN_S, "direct", 1.0, FLAT)
