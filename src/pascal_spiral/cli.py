@@ -2,9 +2,9 @@
 verdicts, disk verification, critical-q scans, and the paper-vs-direct
 discrepancy report.
 
-json and csv outputs are stable interfaces (schemas in schemas.py); the
-human format is for eyes only.  Exit status: 0 success (and, for `check`,
-direct-variant satisfied), 2 for `check` with the direct variant
+json and csv outputs are stable interfaces (schemas in schemas.py); human
+is the json payload as indented text.  Exit status: 0 success (and, for
+`check`, direct-variant satisfied), 2 for `check` with the direct variant
 unsatisfied and for a failed `verify-disk`, 1 on any error."""
 from __future__ import annotations
 
@@ -125,14 +125,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, payload: dict, header, rows, lines, status: int = 0) -> int:
+def _human(payload: dict) -> list[str]:
+    """The json payload as indented text, keys in payload order: a leaf is
+    `key: <json>`, an object `key:` over its entries indented two spaces, a
+    nonempty list of objects `key:` over one `- name=<json> ...` line per
+    element; any other list, the empty one included, is a leaf."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            lines += [f"{key}:", *("  " + line for line in _human(value))]
+        elif value and isinstance(value, list) and isinstance(value[0], dict):
+            lines += [f"{key}:"] + [
+                "  - " + " ".join(f"{k}={json.dumps(v)}" for k, v in item.items())
+                for item in value
+            ]
+        else:
+            lines.append(f"{key}: {json.dumps(value)}")
+    return lines
+
+
+def _emit(args, payload: dict, header, rows, status: int = 0) -> int:
     """Write one command's result in the --format it asked for, to --out or
     stdout, and return the command's exit status.
 
-    payload is the json object, header and rows the csv table, lines the
-    human text.  csv.writer writes floats with repr(), which is the csv
-    contract's number format; a cell that needs another format arrives as a
-    string."""
+    payload is the json object and, through _human, the human text; header
+    and rows are the csv table.  csv.writer writes floats with repr(), which
+    is the csv contract's number format; a cell that needs another format
+    arrives as a string."""
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
@@ -142,7 +161,7 @@ def _emit(args, payload: dict, header, rows, lines, status: int = 0) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_human(payload)) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -194,8 +213,6 @@ def _cmd_coeffs(args) -> int:
         },
         ("n", "phi_n"),
         [(n, f"{v:.17g}") for n, v in phis],
-        [f"phi_n for m={args.m}, q={args.q}"]
-        + [f"  n={n:<6d} phi_n={v:.17g}" for n, v in phis],
     )
 
 
@@ -211,13 +228,6 @@ def _cmd_identities(args) -> int:
         },
         [field.name for field in dataclasses.fields(summation.IdentityReport)],
         [dataclasses.astuple(rep) for rep in reports],
-        [f"identity checks for m={args.m}, q={args.q}"]
-        + [
-            f"  {rep.identity_id:<5s} closed={rep.closed_form:.12g} "
-            f"oracle={rep.truncated:.12g} (N={rep.truncation_order}) "
-            f"err={rep.abs_error:.3e}"
-            for rep in reports
-        ],
     )
 
 
@@ -241,14 +251,6 @@ def _cmd_check(args) -> int:
         verdicts = criteria.evaluate_all(cid, p, c, r)
     else:
         verdicts = {args.variant: criteria.evaluate_criterion(cid, p, c, r, args.variant)}
-    disagreement = next(iter(verdicts.values())).disagreement
-    lines = [f"criterion {cid.value}"] + [
-        f"  {name:<9s} lhs={v.lhs:.12g} rhs={v.rhs:.12g} margin={v.margin:.12g} -> "
-        + ("satisfied" if v.satisfied else "NOT satisfied")
-        for name, v in verdicts.items()
-    ]
-    if disagreement is not None:
-        lines.append(f"  max inter-variant lhs spread: {disagreement:.3e}")
     decisive = verdicts.get("direct") or next(iter(verdicts.values()))
     return _emit(
         args,
@@ -268,11 +270,10 @@ def _cmd_check(args) -> int:
                 name: {f: getattr(v, f) for f in _VERDICT_FIELDS}
                 for name, v in verdicts.items()
             },
-            "disagreement": disagreement,
+            "disagreement": next(iter(verdicts.values())).disagreement,
         },
         ("variant", "lhs", "rhs", "margin", "satisfied"),
         [(name, v.lhs, v.rhs, v.margin, v.satisfied) for name, v in verdicts.items()],
-        lines,
         0 if decisive.satisfied else 2,
     )
 
@@ -303,7 +304,6 @@ def _cmd_verify_disk(args) -> int:
     report = disk.verify_on_disk(
         f, c, args.family, grid, tolerance=1e-6, tail_check=tail_check
     )
-    flag = "PASS (no violation found)" if report.passed else "FAIL"
     return _emit(
         args,
         {
@@ -326,10 +326,6 @@ def _cmd_verify_disk(args) -> int:
             args.function, args.family, report.passed, report.min_value,
             report.witness.real, report.witness.imag, report.points_checked,
         )],
-        [
-            f"{flag}: min={report.min_value:.12g} at z={report.witness} "
-            f"({report.points_checked} points)"
-        ],
         0 if report.passed else 2,
     )
 
@@ -341,21 +337,11 @@ def _cmd_scan(args) -> int:
     r = _rtau_from(args) if cid.needs_rtau else None
     rows = run_scan(cid, args.variant, args.m_grid, xi_grid, args.gamma_grid, rho_grid, r=r)
     objs = [dataclasses.asdict(row) for row in rows]
-    lines = [f"critical q for {cid.value} ({args.variant})"]
-    for row in rows:
-        tag = f" [{row.boundary}]" if row.boundary else ""
-        tag += f" [error: {row.error}]" if row.error else ""
-        lines.append(
-            f"  m={row.m:g} xi={row.xi:.4f} gamma={row.gamma:g} rho={row.rho:g}"
-            f" -> q*={row.q_star:.12g} ({row.iterations} it,"
-            f" residual {row.residual_margin:.2e}){tag}"
-        )
     return _emit(
         args,
         {"command": "scan", "rows": objs},
         SCAN_CSV_COLUMNS,
         [[obj[col] for col in SCAN_CSV_COLUMNS] for obj in objs],
-        lines,
     )
 
 
@@ -381,14 +367,6 @@ def _cmd_discrepancy(args) -> int:
         [
             [row[col] for col in _DISCREPANCY_CSV_COLUMNS]
             for row in report["flagged_rows"]
-        ],
-        [
-            f"paper-vs-direct discrepancies over {report['points_checked']} points "
-            f"(threshold {report['threshold']:g}, scaled):"
-        ]
-        + [
-            f"  {cid:<15s} {count} flagged"
-            for cid, count in report["flagged_counts"].items()
         ],
     )
 

@@ -167,7 +167,9 @@ def scan(
                     c = SpiralClassParams(xi=xi, gamma=gamma, rho=rho)
                     try:
                         res, error = critical_q(cid, variant, m, c, r), ""
-                    except Exception as exc:  # per-row capture, scan continues
+                    # per-row capture of the errors cli.main reports; the
+                    # scan continues, and any other exception is a bug
+                    except (ValueError, ArithmeticError, RuntimeError) as exc:
                         res, error = CriticalQ(0.0, 0, 0.0), str(exc)
                     rows.append(ScanRow(
                         cid.value, variant, m, xi, gamma, rho, **asdict(res), error=error

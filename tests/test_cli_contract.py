@@ -4,8 +4,9 @@ fixed set of argument lists, pinned in tests/data/cli_contract.json.
 The fixture was captured from cli.main before its per-command output code
 was folded into one emitter, and its verify-disk default-grid and grid-error
 cases before the parser took the grid defaults from disk, so a difference
-here is a change of the json, csv or human output, not noise.  After an
-intended change of that output, re-pin with
+here is a change of the json, csv or human output, not noise.  Its human
+cases were re-pinned when --format human became the json payload rendered
+by one function.  After an intended change of that output, re-pin with
 
     PYTHONPATH=src python tests/test_cli_contract.py
 """
@@ -105,6 +106,51 @@ def test_fixture_covers_every_case(expected):
 @pytest.mark.parametrize("case", CASES)
 def test_output_bytes_and_exit_status(case, expected):
     assert _run(CASES[case]) == expected[case]
+
+
+def _leaves(payload: dict):
+    """(name, value) of every leaf of a json payload, inside each element
+    of a list of objects too."""
+    for name, value in payload.items():
+        if isinstance(value, dict):
+            yield from _leaves(value)
+        elif value and isinstance(value, list) and isinstance(value[0], dict):
+            for item in value:
+                yield from item.items()
+        else:
+            yield name, value
+
+
+def _missing_leaves(payload: dict, human: str) -> list[str]:
+    """The leaves of payload that human shows neither as a `name: value`
+    line nor as a space-delimited `name=value` field."""
+    lines = {line.strip() for line in human.splitlines()}
+    padded = " ".join(f" {line} " for line in lines)
+    missing = []
+    for name, value in _leaves(payload):
+        text = json.dumps(value)
+        if f"{name}: {text}" not in lines and f" {name}={text} " not in padded:
+            missing.append(f"{name}={text}")
+    return missing
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_human_shows_every_json_leaf(name):
+    payload = json.loads(_run([*COMMANDS[name], "--format", "json"])["stdout"])
+    human = _run([*COMMANDS[name], "--format", "human"])["stdout"]
+    assert _missing_leaves(payload, human) == []
+
+
+def test_leaf_check_sees_a_skipped_list_of_objects():
+    payload = json.loads(_run([*COMMANDS["coeffs"], "--format", "json"])["stdout"])
+    human = _run([*COMMANDS["coeffs"], "--format", "human"])["stdout"]
+    without_rows = "\n".join(
+        line for line in human.splitlines() if not line.lstrip().startswith("- ")
+    )
+    assert _missing_leaves(payload, without_rows) == [
+        f"{name}={json.dumps(value)}"
+        for row in payload["rows"] for name, value in row.items()
+    ]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -49,6 +49,18 @@ def test_direct_critical_q_finds_no_false_root():
 
 
 @pytest.mark.xfail(
+    raises=AssertionError,
+    reason="direct critical_q reports q* = 0.9995727529066774 (residual 7.8e-11, "
+    "10 steps) at m = 3, and 0.9980468740019532 at m = 4: MARGIN_TOL = 1e-10 is "
+    "absolute, and the margin (1-q)^m falls below it although it is positive "
+    "for every q < 1",
+)
+def test_direct_critical_q_takes_no_small_positive_margin_for_a_root():
+    result = critical_q(CriterionId.G_IN_S, "direct", 3.0, FLAT)
+    assert result.boundary == BOUNDARY_ALL_Q
+
+
+@pytest.mark.xfail(
     raises=ValueError,
     reason="verify_on_disk refuses the series verify-disk --m 1 --q 0.003 "
     "builds: |a_N| r^N = 2.638e-08 > 1e-08",

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -16,6 +17,8 @@ from pascal_spiral import (
 
 FLAT = SpiralClassParams(0.0, 0.0, 0.0)
 RTAU1 = RTauParams(1.0, 1.0, 0.0)
+# the module, not the scan function the package exports under the same name
+SCAN_MODULE = importlib.import_module("pascal_spiral.scan")
 
 
 class TestGoldenValues:
@@ -158,3 +161,23 @@ class TestScan:
         )
         assert rows[0].error == ""
         assert 0.0 < rows[0].q_star < 1.0
+
+    def test_row_captures_m_below_one(self):
+        rows = scan(CriterionId.THETA_IN_S, "direct", (0.5,), (0.0,), (0.0,), (0.0,))
+        assert rows[0].error == "shape parameter m must be >= 1, got 0.5"
+
+    def test_row_captures_non_monotone_margin(self, monkeypatch):
+        def non_monotone(*args, **kwargs):
+            raise SCAN_MODULE.NonMonotoneMarginError("margin rises")
+
+        monkeypatch.setattr(SCAN_MODULE, "critical_q", non_monotone)
+        rows = scan(CriterionId.THETA_IN_S, "direct", (1.0,), (0.0,), (0.0,), (0.0,))
+        assert rows[0].error == "margin rises"
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(SCAN_MODULE, "critical_q", broken)
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            scan(CriterionId.THETA_IN_S, "direct", (1.0,), (0.0,), (0.0,), (0.0,))
