@@ -4,15 +4,15 @@ The human format carries no stability guarantee; json and csv do.  CSV
 column layouts are fixed per subcommand and documented in the README.
 
 Every object is a closed record that requires each listed property, except
-a scan row's `boundary` and `error` and the variants in check's `verdicts`."""
+the variants in check's `verdicts`."""
 
 
-def _record(properties: dict, optional=()) -> dict:
-    """A closed object requiring every property not named in optional."""
+def _record(properties: dict) -> dict:
+    """A closed object requiring every property."""
     return {
         "type": "object",
         "properties": properties,
-        "required": [name for name in properties if name not in optional],
+        "required": list(properties),
         "additionalProperties": False,
     }
 
@@ -81,23 +81,20 @@ VERIFY_DISK_SCHEMA = _payload("verify-disk", {
 })
 
 SCAN_SCHEMA = _payload("scan", {
-    # boundary and error appear only on rows where they are set
-    "rows": {"type": "array", "items": _record(
-        {
-            "criterion": _STRING,
-            "variant": _STRING,
-            "m": _NUMBER,
-            "xi": _NUMBER,
-            "gamma": _NUMBER,
-            "rho": _NUMBER,
-            "q_star": _NUMBER,
-            "iterations": _INTEGER,
-            "residual_margin": _NUMBER,
-            "boundary": _STRING,
-            "error": _STRING,
-        },
-        optional=("boundary", "error"),
-    )},
+    # every row carries boundary and error, empty where unset
+    "rows": {"type": "array", "items": _record({
+        "criterion": _STRING,
+        "variant": _STRING,
+        "m": _NUMBER,
+        "xi": _NUMBER,
+        "gamma": _NUMBER,
+        "rho": _NUMBER,
+        "q_star": _NUMBER,
+        "iterations": _INTEGER,
+        "residual_margin": _NUMBER,
+        "boundary": _STRING,
+        "error": _STRING,
+    })},
 })
 
 DISCREPANCY_SCHEMA = _payload("discrepancy-report", {

@@ -65,15 +65,11 @@ class RTauParams:
 
 
 def _pmf_prefix(p: PascalParams, k_max: int) -> np.ndarray:
-    """P(x = 0), ..., P(x = k_max) by the multiplicative recurrence: the
-    binomial coefficient is accumulated as a rising-factorial product
-    (m)(m+1)...(m+k-1)/k!, which stays finite for real m and avoids
-    factorial overflow."""
-    j = np.arange(1.0, k_max + 1.0)
-    factors = np.empty(k_max + 1)
-    factors[0] = (1.0 - p.q) ** p.m
-    factors[1:] = (p.q * (p.m + j - 1.0)) / j
-    return np.cumprod(factors)
+    """P(x = 0), ..., P(x = k_max) = c_1..c_{k_max+1} of the recurrence from
+    c_1 = (1-q)^m: a rising-factorial product (m)(m+1)...(m+k-1)/k! that
+    stays finite for real m and avoids factorial overflow."""
+    blocks = coefficient_blocks(p.m, p.q, (1.0 - p.q) ** p.m, k_max + 1, n0=1)
+    return np.concatenate([coeffs for *_, coeffs in blocks])
 
 
 def pascal_pmf(k: int, p: PascalParams) -> float:
@@ -145,7 +141,8 @@ class PowerSeries:
         )
 
     def __hash__(self):
-        return hash(self._coeffs.tobytes())
+        # + 0.0 folds -0.0 into 0.0, which __eq__ holds equal
+        return hash((self._coeffs + 0.0).tobytes())
 
 
 def identity_series() -> PowerSeries:
@@ -161,14 +158,38 @@ def geometric_tail(term, rhat):
         return np.where(rhat < 1.0, np.abs(term) * rhat / (1.0 - rhat), np.inf)
 
 
-def order_blocks(cap: int):
-    """The ranges [n0, hi) of orders n = 2..cap that a tail-bounded
+def order_blocks(cap: int, n0: int = 2):
+    """The ranges [n0, hi) of orders n = n0..cap that a tail-bounded
     summation walks: 512 orders first, doubling up to 16384 per block."""
-    n0, size = 2, 512
+    size = 512
     while n0 <= cap:
         hi = min(n0 + size, cap + 1)
         yield n0, hi
         n0, size = hi, min(size * 2, 16384)
+
+
+def coefficient_blocks(m: float, q: float, first: float, cap: int, n0: int = 2):
+    """The Pascal recurrence c_{n+1} = c_n q(n+m-1)/n from c_{n0} = first, per
+    block [n0, hi) of order_blocks(cap, n0): yields (n0, n, ratios, coeffs)
+    with n = n0..hi (one past the block, so that w(n+1) is a slice), the
+    ratios q(n+m-1)/n on n, and c at n0..hi-1.  first carries any scale, so
+    that a scaled walk does not overflow where the raw one would."""
+    coeff = first
+    for n0, hi in order_blocks(cap, n0):
+        size = hi - n0
+        n = np.arange(float(n0), float(hi + 1))
+        # q * (n + m - 1.0) / n, in place: the same operations in the same
+        # order, without a 128 KiB temporary for each
+        ratios = n + m
+        ratios -= 1.0
+        np.multiply(q, ratios, out=ratios)
+        ratios /= n
+        coeffs = np.empty(size)
+        coeffs[0] = coeff
+        coeffs[1:] = ratios[: size - 1]
+        np.cumprod(coeffs, out=coeffs)
+        yield n0, n, ratios, coeffs
+        coeff = float(coeffs[-1] * ratios[size - 1])
 
 
 def adaptive_truncation_order(
@@ -187,18 +208,12 @@ def adaptive_truncation_order(
         raise ValueError("radius must be in (0, 1]")
     if p.q == 0.0:
         return 2
-    m, q = p.m, p.q
     term = pascal_coefficient(2, p) * radius**2
-    for n0, hi in order_blocks(cap):
-        n = np.arange(float(n0), float(hi))
-        rhat = radius * q * (n + m - 1.0) / n
-        # terms[i] is the scaled term at order n0 + i; the last one opens
-        # the next block
-        terms = np.cumprod(np.concatenate(([term], rhat)))
-        done = geometric_tail(terms[:-1], rhat) < threshold
+    for n0, _, ratios, terms in coefficient_blocks(p.m, radius * p.q, term, cap):
+        done = geometric_tail(terms, ratios[:-1]) < threshold
         if done.any():
             return n0 + int(np.argmax(done))
-        term = float(terms[-1])
+        term = float(terms[-1] * ratios[-2])  # the term that opens the next block
     raise SeriesTruncationError(term, cap)
 
 

@@ -18,8 +18,8 @@ from .series import (
     SummationDivergenceError,
     TAIL_THRESHOLD,
     TRUNCATION_CAP,
+    coefficient_blocks,
     geometric_tail,
-    order_blocks,
 )
 
 
@@ -54,29 +54,6 @@ _CHUNK = 16384
 # a sum is doomed when the coefficient ratio at the cap clears 1 by more
 # than the few ulps that rounding q*(n+m-1)/n can move it at any order
 _DOOMED_RATIO = 1.0 + 8.0 * np.finfo(float).eps
-
-
-def _coefficient_blocks(m: float, q: float, cap: int):
-    """Per block [n0, hi) of order_blocks(cap): (n0, n, ratios, coeffs) with
-    n = n0..hi (one past the block, so that w(n+1) is a slice), the ratios
-    q(n+m-1)/n on n, and the raw coefficients at n0..hi-1, each block's
-    cumprod carried on from the last."""
-    coeff = m * q  # raw coefficient at n = 2
-    for n0, hi in order_blocks(cap):
-        size = hi - n0
-        n = np.arange(float(n0), float(hi + 1))
-        # q * (n + m - 1.0) / n, in place: the same operations in the same
-        # order, without a 128 KiB temporary for each
-        ratios = n + m
-        ratios -= 1.0
-        np.multiply(q, ratios, out=ratios)
-        ratios /= n
-        coeffs = np.empty(size)
-        coeffs[0] = coeff
-        coeffs[1:] = ratios[: size - 1]
-        np.cumprod(coeffs, out=coeffs)
-        yield n0, n, ratios, coeffs
-        coeff = float(coeffs[-1] * ratios[size - 1])
 
 
 def oracle_sum(
@@ -116,7 +93,7 @@ def oracle_sum(
         shape = np.shape(w(np.empty(0)))
         k = 1 if len(shape) == 1 else shape[0]
         return _oracle_result([0.0] * k, [2] * k, len(shape) == 1)
-    blocks = _coefficient_blocks(m, q, cap)
+    blocks = coefficient_blocks(m, q, m * q, cap)
     # (a cap below 2 has no block to walk, and raises below)
     if cap >= 2 and q * (cap + m - 1.0) / cap >= _DOOMED_RATIO:
         for _, n, _, coeffs in blocks:  # only the coefficient advances

@@ -5,12 +5,18 @@ different failure still shows, and a fix makes the suite fail until its
 marker is removed (xfail_strict in pyproject.toml)."""
 import math
 
+import numpy as np
 import pytest
 
-from pascal_spiral.criteria import CriterionId, SpiralClassParams
+from pascal_spiral.criteria import CriterionId, SpiralClassParams, evaluate_criterion
 from pascal_spiral.disk import DiskReport, default_grid, verify_on_disk
 from pascal_spiral.scan import BOUNDARY_ALL_Q, critical_q
-from pascal_spiral.series import PascalParams, adaptive_truncation_order, theta_series
+from pascal_spiral.series import (
+    PascalParams,
+    SummationDivergenceError,
+    adaptive_truncation_order,
+    theta_series,
+)
 from pascal_spiral.summation import sum_Sinv
 
 FLAT = SpiralClassParams(0.0, 0.0, 0.0)
@@ -69,3 +75,15 @@ def test_verify_on_disk_accepts_the_series_verify_disk_builds():
     p = PascalParams(1.0, 0.003)
     theta = theta_series(p, adaptive_truncation_order(p, threshold=1e-10, radius=0.995))
     assert isinstance(verify_on_disk(theta, FLAT, "S", default_grid()), DiskReport)
+
+
+@pytest.mark.xfail(
+    raises=SummationDivergenceError,
+    reason="the direct sum walks raw coefficients C(n+m-2, m-1) q^{n-1}, which "
+    "overflow at m = 3000, q = 0.3: did not converge within 100000 terms "
+    "(last term magnitude inf)",
+)
+def test_direct_theta_in_s_gives_a_verdict_at_large_m():
+    with np.errstate(all="ignore"):
+        verdict = evaluate_criterion(CriterionId.THETA_IN_S, PascalParams(3000.0, 0.3), FLAT)
+    assert not verdict.satisfied

@@ -9,9 +9,14 @@ intended change of a schema, re-pin with
 
     PYTHONPATH=src python tests/test_schemas.py
 """
+import dataclasses
 import json
 import pathlib
 
+import jsonschema
+import pytest
+
+from pascal_spiral.scan import ScanRow
 from pascal_spiral.schemas import SCHEMAS
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "schemas.json"
@@ -23,6 +28,15 @@ def _text() -> str:
 
 def test_schemas_match_the_pinned_text():
     assert _text() == FIXTURE.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("field", ["boundary", "error"])
+def test_scan_row_requires_boundary_and_error(field):
+    row = dataclasses.asdict(ScanRow("theta-in-s", "direct", 1.0, 0.0, 0.0, 0.0, 0.5, 3, 0.0))
+    jsonschema.validate({"command": "scan", "rows": [row]}, SCHEMAS["scan"])
+    del row[field]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({"command": "scan", "rows": [row]}, SCHEMAS["scan"])
 
 
 if __name__ == "__main__":

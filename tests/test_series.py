@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pascal_spiral import (
     PascalParams,
+    SeriesTruncationError,
     PowerSeries,
     RTauParams,
     adaptive_truncation_order,
@@ -23,6 +24,7 @@ from pascal_spiral import (
     rtau_coefficient_bound,
     theta_series,
 )
+from pascal_spiral.series import geometric_tail, order_blocks
 
 
 class TestPascalParams:
@@ -127,6 +129,11 @@ class TestPowerSeries:
         f = PowerSeries([0.5])
         with pytest.raises(IndexError):
             f.coefficient(3)
+
+    @pytest.mark.parametrize("zero", [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+    def test_hash_agrees_with_eq_on_signed_zeros(self, zero):
+        assert PowerSeries([0.0]) == PowerSeries([zero])
+        assert len({PowerSeries([0.0]), PowerSeries([zero])}) == 1
 
 
 class TestHadamard:
@@ -270,3 +277,67 @@ class TestAdaptiveTruncation:
 
     def test_q_zero_minimal(self):
         assert adaptive_truncation_order(PascalParams(5, 0.0)) == 2
+
+
+def _pmf_prefix_reference(p, k_max):
+    """P(x = 0..k_max) by one cumprod of the recurrence's factors, kept as
+    the reference for the block walk that pascal_pmf and
+    pascal_coefficients go through."""
+    j = np.arange(1.0, k_max + 1.0)
+    factors = np.empty(k_max + 1)
+    factors[0] = (1.0 - p.q) ** p.m
+    factors[1:] = (p.q * (p.m + j - 1.0)) / j
+    return np.cumprod(factors)
+
+
+def _truncation_order_reference(p, threshold, radius, cap):
+    """adaptive_truncation_order's loop with its own ratios and cumprod per
+    block, kept as the reference for the shared block walk."""
+    if p.q == 0.0:
+        return 2
+    m, q = p.m, p.q
+    term = float(_pmf_prefix_reference(p, 1)[-1]) * radius**2
+    for n0, hi in order_blocks(cap):
+        n = np.arange(float(n0), float(hi))
+        rhat = radius * q * (n + m - 1.0) / n
+        terms = np.cumprod(np.concatenate(([term], rhat)))
+        done = geometric_tail(terms[:-1], rhat) < threshold
+        if done.any():
+            return n0 + int(np.argmax(done))
+        term = float(terms[-1])
+    raise SeriesTruncationError(term, cap)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SeriesTruncationError as exc:
+        return str(exc), repr(exc.last_term), exc.order
+
+
+def _draw(rng):
+    """(m, q) over the domain: m = 1, m just above 1, moderate m, and m up to
+    4,000, where the raw coefficients overflow; q = 0, small q and q up to
+    0.99999."""
+    m = rng.choice([1.0, 1.0 + 10.0 ** rng.uniform(-12, -1), rng.uniform(1, 50),
+                    10.0 ** rng.uniform(1, math.log10(4000))], p=[0.1, 0.15, 0.35, 0.4])
+    q = rng.choice([0.0, 10.0 ** rng.uniform(-7, -1), min(rng.uniform(0, 1), 0.99999)],
+                   p=[0.05, 0.25, 0.7])
+    return PascalParams(float(m), float(q))
+
+
+def test_block_walk_equals_the_single_cumprod_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        p = _draw(rng)
+        k = int(rng.choice([0, 1, 511, 512, 513, rng.integers(0, 40_000)]))
+        ref = _pmf_prefix_reference(p, k)
+        assert np.float64(pascal_pmf(k, p)).tobytes() == ref[-1:].tobytes(), (p, k)
+        if k >= 1:
+            assert pascal_coefficients(p, k + 1).tobytes() == ref[1:].tobytes(), (p, k)
+        for threshold, radius in ((1e-14, 1.0), (1e-10, 0.995)):
+            for cap in (1, 2, 513, 514, 100_000):
+                args = (p, threshold, radius, cap)
+                assert _outcome(adaptive_truncation_order, *args) == _outcome(
+                    _truncation_order_reference, *args
+                ), args
