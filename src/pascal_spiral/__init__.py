@@ -9,7 +9,6 @@ from .series import (
     PascalParams,
     PowerSeries,
     RTauParams,
-    SeriesTruncationError,
     adaptive_truncation_order,
     evaluate,
     evaluate_d1,
@@ -67,7 +66,7 @@ from .scan import (
 )
 
 __all__ = [
-    "PascalParams", "PowerSeries", "RTauParams", "SeriesTruncationError",
+    "PascalParams", "PowerSeries", "RTauParams",
     "adaptive_truncation_order", "evaluate", "evaluate_d1", "evaluate_d2",
     "extremal_rtau_series", "hadamard_convolve", "identity_series",
     "integral_transform", "pascal_coefficient", "pascal_coefficients",

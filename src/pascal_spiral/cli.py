@@ -37,10 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> list[float]:
+    # finite only: json has no inf or nan, and scan rows echo their grid values
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"not a comma-separated list of finite floats: {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -80,9 +84,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", parents=[common, pascal, klass, rtau])
     p.set_defaults(run=_cmd_check)
     p.add_argument("criterion")
-    p.add_argument(
-        "--variant", choices=("paper", "rederived", "direct", "all"), default="all"
-    )
+    p.add_argument("--variant", choices=(*criteria.VARIANTS, "all"), default="all")
 
     p = sub.add_parser("verify-disk", parents=[common, pascal, klass, rtau])
     p.set_defaults(run=_cmd_verify_disk)
@@ -99,9 +101,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scan", parents=[common, rtau])
     p.set_defaults(run=_cmd_scan)
     p.add_argument("criterion")
-    p.add_argument(
-        "--variant", choices=("paper", "rederived", "direct"), default="direct"
-    )
+    p.add_argument("--variant", choices=criteria.VARIANTS, default="direct")
     p.add_argument("--m-grid", type=_float_list, default=[1.0])
     p.add_argument("--xi-grid", type=_float_list, default=[0.0])
     p.add_argument("--gamma-grid", type=_float_list, default=[0.0])
@@ -144,21 +144,22 @@ def _human(payload: dict) -> list[str]:
     return lines
 
 
-def _emit(args, payload: dict, header, rows, status: int = 0) -> int:
+def _emit(args, payload: dict, columns, records, status: int = 0) -> int:
     """Write one command's result in the --format it asked for, to --out or
     stdout, and return the command's exit status.
 
-    payload is the json object and, through _human, the human text; header
-    and rows are the csv table.  csv.writer writes floats with repr(), which
-    is the csv contract's number format; a cell that needs another format
-    arrives as a string."""
+    payload is the json object and, through _human, the human text.  The csv
+    table has the header columns and one row record[col] for col in columns
+    per record, mostly the records of the payload itself.  csv.writer writes
+    floats with repr(), which is the csv contract's number format; a cell
+    that needs another format arrives as a string."""
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows([record[col] for col in columns] for record in records)
         text = buf.getvalue()
     else:
         text = "\n".join(_human(payload)) + "\n"
@@ -212,22 +213,18 @@ def _cmd_coeffs(args) -> int:
             "rows": [{"n": n, "phi_n": float(v)} for n, v in phis],
         },
         ("n", "phi_n"),
-        [(n, f"{v:.17g}") for n, v in phis],
+        [{"n": n, "phi_n": f"{v:.17g}"} for n, v in phis],
     )
 
 
 def _cmd_identities(args) -> int:
     p = series.PascalParams(args.m, args.q)
-    reports = summation.all_identity_reports(p)
+    reports = [dataclasses.asdict(rep) for rep in summation.all_identity_reports(p)]
     return _emit(
         args,
-        {
-            "command": "identities",
-            **dataclasses.asdict(p),
-            "identities": [dataclasses.asdict(rep) for rep in reports],
-        },
+        {"command": "identities", **dataclasses.asdict(p), "identities": reports},
         [field.name for field in dataclasses.fields(summation.IdentityReport)],
-        [dataclasses.astuple(rep) for rep in reports],
+        reports,
     )
 
 
@@ -252,6 +249,9 @@ def _cmd_check(args) -> int:
     else:
         verdicts = {args.variant: criteria.evaluate_criterion(cid, p, c, r, args.variant)}
     decisive = verdicts.get("direct") or next(iter(verdicts.values()))
+    records = {
+        name: {f: getattr(v, f) for f in _VERDICT_FIELDS} for name, v in verdicts.items()
+    }
     return _emit(
         args,
         {
@@ -266,14 +266,11 @@ def _cmd_check(args) -> int:
                     if r is not None else {}
                 ),
             },
-            "verdicts": {
-                name: {f: getattr(v, f) for f in _VERDICT_FIELDS}
-                for name, v in verdicts.items()
-            },
-            "disagreement": next(iter(verdicts.values())).disagreement,
+            "verdicts": records,
+            "disagreement": decisive.disagreement,
         },
         ("variant", "lhs", "rhs", "margin", "satisfied"),
-        [(name, v.lhs, v.rhs, v.margin, v.satisfied) for name, v in verdicts.items()],
+        records.values(),
         0 if decisive.satisfied else 2,
     )
 
@@ -304,28 +301,26 @@ def _cmd_verify_disk(args) -> int:
     report = disk.verify_on_disk(
         f, c, args.family, grid, tolerance=1e-6, tail_check=tail_check
     )
+    payload = {
+        "command": "verify-disk",
+        "function": args.function,
+        "family": args.family,
+        # the raw --m/--q, echoed even for functions that ignore them
+        "params": {"m": args.m, "q": args.q, **dataclasses.asdict(c)},
+        "pass": report.passed,
+        "min_value": report.min_value,
+        "witness": {"re": report.witness.real, "im": report.witness.imag},
+        "points_checked": report.points_checked,
+        "note": report.note,
+    }
     return _emit(
         args,
-        {
-            "command": "verify-disk",
-            "function": args.function,
-            "family": args.family,
-            # the raw --m/--q, echoed even for functions that ignore them
-            "params": {"m": args.m, "q": args.q, **dataclasses.asdict(c)},
-            "pass": report.passed,
-            "min_value": report.min_value,
-            "witness": {"re": report.witness.real, "im": report.witness.imag},
-            "points_checked": report.points_checked,
-            "note": report.note,
-        },
+        payload,
         (
             "function", "family", "pass", "min_value",
             "witness_re", "witness_im", "points_checked",
         ),
-        [(
-            args.function, args.family, report.passed, report.min_value,
-            report.witness.real, report.witness.imag, report.points_checked,
-        )],
+        [{**payload, "witness_re": report.witness.real, "witness_im": report.witness.imag}],
         0 if report.passed else 2,
     )
 
@@ -336,18 +331,8 @@ def _cmd_scan(args) -> int:
     xi_grid = [math.radians(x) for x in args.xi_grid] if args.degrees else args.xi_grid
     r = _rtau_from(args) if cid.needs_rtau else None
     rows = run_scan(cid, args.variant, args.m_grid, xi_grid, args.gamma_grid, rho_grid, r=r)
-    objs = [dataclasses.asdict(row) for row in rows]
-    return _emit(
-        args,
-        {"command": "scan", "rows": objs},
-        SCAN_CSV_COLUMNS,
-        [[obj[col] for col in SCAN_CSV_COLUMNS] for obj in objs],
-    )
-
-
-_DISCREPANCY_CSV_COLUMNS = (
-    "criterion", "m", "q", "xi", "gamma", "rho", "paper_lhs", "direct_lhs", "abs_diff",
-)
+    records = [dataclasses.asdict(row) for row in rows]
+    return _emit(args, {"command": "scan", "rows": records}, SCAN_CSV_COLUMNS, records)
 
 
 def _cmd_discrepancy(args) -> int:
@@ -363,11 +348,8 @@ def _cmd_discrepancy(args) -> int:
     return _emit(
         args,
         {"command": "discrepancy-report", **report},
-        _DISCREPANCY_CSV_COLUMNS,
-        [
-            [row[col] for col in _DISCREPANCY_CSV_COLUMNS]
-            for row in report["flagged_rows"]
-        ],
+        criteria.DISCREPANCY_FIELDS,
+        report["flagged_rows"],
     )
 
 

@@ -289,6 +289,11 @@ DEFAULT_GAMMA_GRID = (0.0, 0.25, 0.5, 0.75)
 DEFAULT_RHO_GRID = (0.0, 0.3, 0.6)
 DEFAULT_RTAU = RTauParams(tau=1.0, vartheta=1.0, delta=0.0)
 
+# the keys of a flagged discrepancy_report row, in order
+DISCREPANCY_FIELDS = (
+    "criterion", "m", "q", "xi", "gamma", "rho", "paper_lhs", "direct_lhs", "abs_diff",
+)
+
 
 def discrepancy_report(
     threshold: float = 1e-6,
@@ -309,6 +314,8 @@ def discrepancy_report(
     The flag threshold is scaled by max(1, |direct|): at the large-lhs corner
     of the grid plain double rounding already exceeds 1e-6 absolute, so an
     unscaled test would flag agreement noise."""
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     classes = [
         SpiralClassParams(xi, gamma, rho)
         for xi in xi_grid for gamma in gamma_grid for rho in rho_grid
@@ -333,19 +340,9 @@ def discrepancy_report(
                     diff = abs(paper - direct)
                     if diff > threshold * max(1.0, abs(direct)):
                         counts[cid.value] += 1
-                        flagged.append(
-                            {
-                                "criterion": cid.value,
-                                "m": m,
-                                "q": q,
-                                "xi": c.xi,
-                                "gamma": c.gamma,
-                                "rho": c.rho,
-                                "paper_lhs": paper,
-                                "direct_lhs": direct,
-                                "abs_diff": diff,
-                            }
-                        )
+                        flagged.append(dict(zip(DISCREPANCY_FIELDS, (
+                            cid.value, m, q, c.xi, c.gamma, c.rho, paper, direct, diff,
+                        ))))
     return {
         "threshold": threshold,
         "points_checked": checked,

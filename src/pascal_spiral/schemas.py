@@ -4,7 +4,19 @@ The human format carries no stability guarantee; json and csv do.  CSV
 column layouts are fixed per subcommand and documented in the README.
 
 Every object is a closed record that requires each listed property, except
-the variants in check's `verdicts`."""
+the variants in check's `verdicts`.  A record the package builds is read
+from its declaration: an `identities` item from `IdentityReport`, a verdict
+from `Verdict`, a `scan` row from `ScanRow`, a flagged row from
+`criteria.DISCREPANCY_FIELDS`, the enums from `summation.IDENTITY_IDS` and
+`criteria.VARIANTS`."""
+import dataclasses
+import typing
+
+from .criteria import DISCREPANCY_FIELDS, VARIANTS, Verdict
+from .scan import ScanRow
+from .summation import IDENTITY_IDS, IdentityReport
+
+_JSON_TYPES = {float: "number", int: "integer", str: "string", bool: "boolean"}
 
 
 def _record(properties: dict) -> dict:
@@ -14,6 +26,16 @@ def _record(properties: dict) -> dict:
         "properties": properties,
         "required": list(properties),
         "additionalProperties": False,
+    }
+
+
+def _fields(cls, *exclude) -> dict:
+    """The properties of a dataclass's fields, in declaration order and typed
+    by their annotations; an annotation with no JSON type raises KeyError."""
+    hints = typing.get_type_hints(cls)
+    return {
+        field.name: {"type": _JSON_TYPES[hints[field.name]]}
+        for field in dataclasses.fields(cls) if field.name not in exclude
     }
 
 
@@ -40,22 +62,13 @@ COEFFS_SCHEMA = _payload("coeffs", {
 IDENTITIES_SCHEMA = _payload("identities", {
     "m": _NUMBER,
     "q": _NUMBER,
-    "identities": {"type": "array", "items": _record({
-        "identity_id": {"enum": ["S0", "S1", "S2", "Sinv"]},
-        "closed_form": _NUMBER,
-        "truncated": _NUMBER,
-        "truncation_order": _INTEGER,
-        "abs_error": _NUMBER,
-    })},
+    "identities": {"type": "array", "items": _record(
+        {**_fields(IdentityReport), "identity_id": {"enum": list(IDENTITY_IDS)}}
+    )},
 })
 
-_VERDICT = _record({
-    "lhs": _NUMBER,
-    "rhs": _NUMBER,
-    "margin": _NUMBER,
-    "satisfied": {"type": "boolean"},
-    "variant": {"enum": ["paper", "rederived", "direct"]},
-})
+# disagreement is reported once per check, not per verdict
+_VERDICT = _record({**_fields(Verdict, "disagreement"), "variant": {"enum": list(VARIANTS)}})
 
 CHECK_SCHEMA = _payload("check", {
     "criterion": _STRING,
@@ -63,7 +76,7 @@ CHECK_SCHEMA = _payload("check", {
     # --variant picks which verdicts appear, so none is required
     "verdicts": {
         "type": "object",
-        "properties": {"paper": _VERDICT, "rederived": _VERDICT, "direct": _VERDICT},
+        "properties": {variant: _VERDICT for variant in VARIANTS},
         "additionalProperties": False,
     },
     "disagreement": {"type": ["number", "null"]},
@@ -82,19 +95,7 @@ VERIFY_DISK_SCHEMA = _payload("verify-disk", {
 
 SCAN_SCHEMA = _payload("scan", {
     # every row carries boundary and error, empty where unset
-    "rows": {"type": "array", "items": _record({
-        "criterion": _STRING,
-        "variant": _STRING,
-        "m": _NUMBER,
-        "xi": _NUMBER,
-        "gamma": _NUMBER,
-        "rho": _NUMBER,
-        "q_star": _NUMBER,
-        "iterations": _INTEGER,
-        "residual_margin": _NUMBER,
-        "boundary": _STRING,
-        "error": _STRING,
-    })},
+    "rows": {"type": "array", "items": _record(_fields(ScanRow))},
 })
 
 DISCREPANCY_SCHEMA = _payload("discrepancy-report", {
@@ -102,15 +103,8 @@ DISCREPANCY_SCHEMA = _payload("discrepancy-report", {
     "points_checked": _INTEGER,
     "flagged_counts": {"type": "object", "additionalProperties": _INTEGER},
     "flagged_rows": {"type": "array", "items": _record({
-        "criterion": _STRING,
-        "m": _NUMBER,
-        "q": _NUMBER,
-        "xi": _NUMBER,
-        "gamma": _NUMBER,
-        "rho": _NUMBER,
-        "paper_lhs": _NUMBER,
-        "direct_lhs": _NUMBER,
-        "abs_diff": _NUMBER,
+        field: _STRING if field == "criterion" else _NUMBER
+        for field in DISCREPANCY_FIELDS
     })},
 })
 

@@ -3,6 +3,7 @@ convolution, the integral transform, and coefficient bounds for the
 bounded-turning-type class R^tau."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,9 @@ class SummationDivergenceError(RuntimeError):
         self.order = order
 
 
-SeriesTruncationError = SummationDivergenceError
-
-
 @dataclass(frozen=True)
 class PascalParams:
-    """Shape m >= 1 and success parameter 0 <= q < 1.
+    """Finite shape m >= 1 and success parameter 0 <= q < 1.
 
     q = 1 is rejected outright: every closed form downstream divides by 1-q.
     """
@@ -43,25 +41,28 @@ class PascalParams:
     def __post_init__(self):
         if not self.m >= 1.0:
             raise ValueError(f"shape parameter m must be >= 1, got {self.m}")
+        if self.m == math.inf:
+            raise ValueError(f"shape parameter m must be finite, got {self.m}")
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"success parameter q must be in [0, 1), got {self.q}")
 
 
 @dataclass(frozen=True)
 class RTauParams:
-    """Parameters (tau, vartheta, delta) of the class R^tau(vartheta, delta)."""
+    """Parameters (tau, vartheta, delta) of the class R^tau(vartheta, delta):
+    finite nonzero tau, 0 < vartheta <= 1, finite delta < 1."""
 
     tau: complex = 1.0
     vartheta: float = 1.0
     delta: float = 0.0
 
     def __post_init__(self):
-        if abs(self.tau) == 0.0:
-            raise ValueError("tau must be nonzero")
+        if not 0.0 < abs(self.tau) < math.inf:
+            raise ValueError(f"tau must be finite and nonzero, got {self.tau}")
         if not 0.0 < self.vartheta <= 1.0:
             raise ValueError(f"vartheta must be in (0, 1], got {self.vartheta}")
-        if not self.delta < 1.0:
-            raise ValueError(f"delta must be < 1, got {self.delta}")
+        if not -math.inf < self.delta < 1.0:
+            raise ValueError(f"delta must be finite and < 1, got {self.delta}")
 
 
 def _pmf_prefix(p: PascalParams, k_max: int) -> np.ndarray:
@@ -214,7 +215,7 @@ def adaptive_truncation_order(
         if done.any():
             return n0 + int(np.argmax(done))
         term = float(terms[-1] * ratios[-2])  # the term that opens the next block
-    raise SeriesTruncationError(term, cap)
+    raise SummationDivergenceError(term, cap)
 
 
 def theta_series(p: PascalParams, order: int | None = None) -> PowerSeries:

@@ -36,6 +36,25 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("args, reason", [
+        (("check", "lambda-in-s", "--m", "2", "--q", "0.3", "--tau-re", "nan",
+          "--variant", "direct"), "tau must be finite and nonzero, got (nan+0j)"),
+        (("check", "lambda-in-s", "--m", "2", "--q", "0.3", "--tau-re", "inf",
+          "--variant", "direct"), "tau must be finite and nonzero, got (inf+0j)"),
+        (("check", "lambda-in-s", "--m", "2", "--q", "0.3", "--delta=-inf"),
+         "delta must be finite and < 1, got -inf"),
+        (("coeffs", "--m", "inf"), "shape parameter m must be finite, got inf"),
+        (("scan", "thm1", "--m-grid", "1,inf"),
+         "argument --m-grid: not a comma-separated list of finite floats: '1,inf'"),
+        (("discrepancy-report", "--threshold", "nan"),
+         "threshold must be finite and >= 0, got nan"),
+    ], ids=["tau-nan", "tau-inf", "delta-inf", "m-inf", "grid-inf", "threshold-nan"])
+    def test_non_finite_input_exits_one_with_its_reason(self, args, reason):
+        # json has no inf or nan; the input is refused before any sum or
+        # numpy warning
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", f"error: {reason}\n")
+
     def test_unknown_criterion_exits_one(self):
         r = run_cli("check", "thm9")
         assert r.returncode == 1

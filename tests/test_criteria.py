@@ -210,3 +210,9 @@ class TestDiscrepancyReport:
         for cid in ("theta-in-s", "lambda-in-s", "integral-in-k", "integral-in-s"):
             assert counts[cid] == 0
         assert report["points_checked"] == 2 * 2 * 2 * 2 * 2 * 6
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1e-6])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        # a nan threshold once flagged nothing and was echoed as NaN
+        with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+            discrepancy_report(threshold=threshold, m_grid=(1.0,), q_grid=(0.2,))

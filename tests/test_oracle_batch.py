@@ -12,7 +12,6 @@ from pascal_spiral import (
     CriterionId,
     PascalParams,
     RTauParams,
-    SeriesTruncationError,
     SpiralClassParams,
     SummationDivergenceError,
     adaptive_truncation_order,
@@ -274,7 +273,7 @@ def _loop_truncation_order(p, threshold, radius, cap):
             return n
         term *= rhat
         n += 1
-    raise SeriesTruncationError(term, cap)
+    raise SummationDivergenceError(term, cap)
 
 
 def test_truncation_order_matches_term_by_term_rule():
@@ -288,8 +287,8 @@ def test_truncation_order_matches_term_by_term_rule():
         cap = rng.choice((100_000, 1, 2, 50, 513, 3000))
         try:
             expected = _loop_truncation_order(p, threshold, radius, cap)
-        except SeriesTruncationError as exc:
-            with pytest.raises(SeriesTruncationError) as info:
+        except SummationDivergenceError as exc:
+            with pytest.raises(SummationDivergenceError) as info:
                 adaptive_truncation_order(p, threshold, radius, cap)
             assert str(info.value) == str(exc)
             assert info.value.last_term == exc.last_term

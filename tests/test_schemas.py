@@ -16,6 +16,8 @@ import pathlib
 import jsonschema
 import pytest
 
+from pascal_spiral import schemas
+from pascal_spiral.criteria import Verdict
 from pascal_spiral.scan import ScanRow
 from pascal_spiral.schemas import SCHEMAS
 
@@ -37,6 +39,15 @@ def test_scan_row_requires_boundary_and_error(field):
     del row[field]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"command": "scan", "rows": [row]}, SCHEMAS["scan"])
+
+
+def test_a_field_without_a_json_type_raises():
+    # Verdict.disagreement (float | None) maps to no JSON type: the check
+    # schema excludes it by name, and a record that does not must fail
+    # rather than lose the property
+    with pytest.raises(KeyError):
+        schemas._fields(Verdict)
+    assert "disagreement" not in schemas._fields(Verdict, "disagreement")
 
 
 if __name__ == "__main__":

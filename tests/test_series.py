@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from pascal_spiral import (
     PascalParams,
-    SeriesTruncationError,
     PowerSeries,
     RTauParams,
+    SummationDivergenceError,
     adaptive_truncation_order,
     evaluate,
     evaluate_d1,
@@ -31,6 +31,12 @@ class TestPascalParams:
     def test_rejects_m_below_one(self):
         with pytest.raises(ValueError):
             PascalParams(0.5, 0.3)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_rejects_non_finite_m(self, m):
+        # m = inf once gave phi_n = nan, written to json as NaN
+        with pytest.raises(ValueError, match="shape parameter m must be"):
+            PascalParams(m, 0.3)
 
     def test_rejects_q_one(self):
         with pytest.raises(ValueError):
@@ -241,6 +247,11 @@ class TestRTau:
             RTauParams(vartheta=0.0)
         with pytest.raises(ValueError):
             RTauParams(delta=1.0)
+        for tau in (math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                RTauParams(tau=tau)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            RTauParams(delta=-math.inf)
 
     def test_bound_hand_value(self):
         assert rtau_coefficient_bound(2, RTauParams(1.0, 1.0, 0.0)) == 1.0
@@ -305,13 +316,13 @@ def _truncation_order_reference(p, threshold, radius, cap):
         if done.any():
             return n0 + int(np.argmax(done))
         term = float(terms[-1])
-    raise SeriesTruncationError(term, cap)
+    raise SummationDivergenceError(term, cap)
 
 
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except SeriesTruncationError as exc:
+    except SummationDivergenceError as exc:
         return str(exc), repr(exc.last_term), exc.order
 
 
