@@ -275,12 +275,23 @@ def _cmd_check(args) -> int:
     )
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _build_function(args):
     """Returns (PowerSeries, tail_check) for verify-disk."""
+    if args.function in ("identity", "single"):
+        # m and q go unused here, but params echoes them and json has no inf
+        # or nan; the other functions refuse them through PascalParams
+        _finite("m", args.m)
+        _finite("q", args.q)
     if args.function == "identity":
         return series.identity_series(), False
     if args.function == "single":
-        return series.PowerSeries([complex(args.a2)]), False
+        return series.PowerSeries([complex(_finite("a2", args.a2))]), False
     p = series.PascalParams(args.m, args.q)
     order = series.adaptive_truncation_order(p, threshold=1e-10, radius=0.995)
     theta = series.theta_series(p, order)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,15 +18,31 @@ class SummationDivergenceError(RuntimeError):
     the order cap with its geometric tail bound still unmet.
 
     Carries the magnitude of the last computed term so callers can
-    distinguish a divergent sum from a slowly converging one."""
+    distinguish a divergent sum from a slowly converging one.  last_term may
+    be given as a callable of no arguments (oracle_sum does so for a doomed
+    sum, whose last term needs a walk to the cap); it is called the first
+    time last_term or str() is read, and its float is kept.  A call that
+    raises keeps nothing, so the next read calls it again."""
 
-    def __init__(self, last_term: float, order: int):
-        super().__init__(
-            f"summation did not converge within {order} terms "
-            f"(last term magnitude {last_term:.3e})"
-        )
-        self.last_term = last_term
+    def __init__(self, last_term: float | Callable[[], float], order: int):
+        super().__init__()
+        self._last_term = last_term
         self.order = order
+
+    @property
+    def last_term(self) -> float:
+        if callable(self._last_term):
+            self._last_term = self._last_term()
+        return self._last_term
+
+    def __str__(self):
+        return (
+            f"summation did not converge within {self.order} terms "
+            f"(last term magnitude {self.last_term:.3e})"
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ code applies that factor explicitly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,29 +82,33 @@ def oracle_sum(
     ratio >= 1 at n = cap (with a few ulps to spare) makes every ratio up to
     the cap >= 1; rhat, the ratio times max(1, w(n+1)/w(n)), is then >= 1
     too, the tail bound is inf at every order, and no row, whatever its
-    weight, can stop.  Such a sum only carries its coefficient through the
-    blocks and evaluates its weight on the last one, then raises what the
-    full walk raises: the same message, last_term and order (a zero-row
-    weight still gives (empty, 0)).  Only numpy's overflow warnings can
-    differ, for sums whose weighted terms or partial sums pass the float
-    range, since those are never formed."""
+    weight, can stop.  Such a sum evaluates its weight at orders cap and
+    cap + 1 only (a zero-row weight still gives (empty, 0)) and raises at
+    once.  Its error carries the coefficient walk to the cap, deferred: the
+    blocks are walked, under the numpy error state saved at the raise, the
+    first time last_term or str() is read (and again at the next read if
+    that walk raised), and give the same message, last_term and order as
+    the full walk.  A caller that discards the error
+    walks no block.  Only numpy's floating-point warnings and errors can
+    differ: the weighted terms and partial sums are never formed, and an
+    overflow of the coefficients warns (or, under np.errstate(over="raise")
+    or warnings as errors, raises) at the read, not at the call."""
     w = WEIGHTS[weight] if isinstance(weight, str) else weight
     m, q = p.m, p.q
     if q == 0.0:
         shape = np.shape(w(np.empty(0)))
         k = 1 if len(shape) == 1 else shape[0]
         return _oracle_result([0.0] * k, [2] * k, len(shape) == 1)
-    blocks = coefficient_blocks(m, q, m * q, cap)
     # (a cap below 2 has no block to walk, and raises below)
     if cap >= 2 and q * (cap + m - 1.0) / cap >= _DOOMED_RATIO:
-        for _, n, _, coeffs in blocks:  # only the coefficient advances
-            if n[-1] > cap:  # the last block: w at orders cap and cap + 1
-                w_end = np.asarray(w(n[-2:]), dtype=float).reshape(-1, 2)
-                if not len(w_end):
-                    return np.empty(0), 0
-                # row 0 is the first open row; the product as in terms
-                last_term = np.abs(w_end[:1, 0] * coeffs[-1:])
-        raise SummationDivergenceError(float(last_term[0]), cap)
+        w_end = np.asarray(w(np.array([cap, cap + 1.0])), dtype=float).reshape(-1, 2)
+        if not len(w_end):
+            return np.empty(0), 0
+        # row 0 is the first open row; c_cap is walked for only if read
+        raise SummationDivergenceError(
+            functools.partial(_doomed_last_term, m, q, cap, w_end[:1, 0], np.geterr()), cap
+        )
+    blocks = coefficient_blocks(m, q, m * q, cap)
     k = 0  # number of rows, told by the first weight evaluation
     orders = [0]  # orders[i] stays 0 while row i is open
     total = 0.0
@@ -154,6 +159,19 @@ def oracle_sum(
         total = prefix[:, -1:]
         last_term = np.abs(terms[:, -1])
     raise SummationDivergenceError(float(last_term[orders.index(0)]), cap)
+
+
+def _doomed_last_term(m, q, cap, w_cap, err) -> float:
+    """|w(cap) c_cap| of a doomed sum: its coefficient walked through every
+    block, under the numpy error state of the oracle_sum call that raised.
+    Each call walks from the first block, so a read that raises (an overflow
+    under over="raise" or warnings as errors) raises the same on the next."""
+    with np.errstate(**err):
+        # only the coefficient advances
+        for *_, coeffs in coefficient_blocks(m, q, m * q, cap):
+            pass
+        # the product as in terms
+        return float(np.abs(w_cap * coeffs[-1:])[0])
 
 
 def _oracle_result(values, orders, scalar):

@@ -48,7 +48,23 @@ class TestExitCodes:
          "argument --m-grid: not a comma-separated list of finite floats: '1,inf'"),
         (("discrepancy-report", "--threshold", "nan"),
          "threshold must be finite and >= 0, got nan"),
-    ], ids=["tau-nan", "tau-inf", "delta-inf", "m-inf", "grid-inf", "threshold-nan"])
+        (("verify-disk", "--function", "identity", "--m", "inf"), "m must be finite, got inf"),
+        (("verify-disk", "--function", "identity", "--q", "nan"), "q must be finite, got nan"),
+        (("verify-disk", "--function", "single", "--m=-inf"), "m must be finite, got -inf"),
+        (("verify-disk", "--function", "single", "--a2", "inf"), "a2 must be finite, got inf"),
+        (("verify-disk", "--function", "single", "--a2", "nan"), "a2 must be finite, got nan"),
+        (("verify-disk", "--function", "theta", "--m", "inf"),
+         "shape parameter m must be finite, got inf"),
+        (("verify-disk", "--function", "integral", "--q", "nan"),
+         "success parameter q must be in [0, 1), got nan"),
+        (("verify-disk", "--function", "lambda-rtau", "--m", "nan"),
+         "shape parameter m must be >= 1, got nan"),
+    ], ids=[
+        "tau-nan", "tau-inf", "delta-inf", "m-inf", "grid-inf", "threshold-nan",
+        "disk-identity-m-inf", "disk-identity-q-nan", "disk-single-m-inf",
+        "disk-single-a2-inf", "disk-single-a2-nan", "disk-theta-m-inf",
+        "disk-integral-q-nan", "disk-lambda-m-nan",
+    ])
     def test_non_finite_input_exits_one_with_its_reason(self, args, reason):
         # json has no inf or nan; the input is refused before any sum or
         # numpy warning

@@ -79,6 +79,9 @@ ERRORS = {
     "verify-disk-too-few-angles": ["verify-disk", "--angles", "4"],
     "verify-disk-no-radii": ["verify-disk", "--radii", ""],
     "verify-disk-radius-too-large": ["verify-disk", "--radii", "0.5,1.0"],
+    "check-direct-doomed": [
+        "check", "thm1", "--m", "2.5", "--q", "0.999999999", "--variant", "direct",
+    ],
 }
 CASES = {
     f"{name}-{fmt}": [*argv, "--format", fmt]

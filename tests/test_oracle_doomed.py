@@ -1,12 +1,14 @@
 """The oracle's early stop: a sum whose coefficient ratio at the cap is >= 1
-can never meet its tail bound, so oracle_sum only carries the coefficient
-through the blocks and raises what the full block walk raises."""
+can never meet its tail bound, so oracle_sum raises at once what the full
+block walk raises, and carries the coefficient through the blocks only when
+the error's last term is read."""
 import random
 
 import numpy as np
 import pytest
 
 from pascal_spiral import (
+    CriterionId,
     PascalParams,
     SpiralClassParams,
     SummationDivergenceError,
@@ -14,10 +16,13 @@ from pascal_spiral import (
     weight_K,
     weight_S,
 )
+from pascal_spiral import criteria, summation
 from pascal_spiral.criteria import _columns
+from pascal_spiral.scan import Q_MAX, critical_q
 from pascal_spiral.series import (
     TAIL_THRESHOLD,
     TRUNCATION_CAP,
+    coefficient_blocks,
     geometric_tail,
     order_blocks,
     rtau_bound,
@@ -195,3 +200,109 @@ def test_cap_ratio_just_below_one_takes_the_full_walk():
     assert spy.calls[0] == (2.0, 514.0)  # the first block: the full walk
     assert got == _outcome(_full_walk, "n_minus_1", p, cap)
     assert got.startswith("('raised'")  # at ratio 1 - 1e-12 the bound stays unmet
+
+
+class _BlockSpy:
+    """Stands in for coefficient_blocks in summation; records, per call, q
+    and the number of blocks consumed so far."""
+
+    def __init__(self):
+        self.walks = []
+
+    def __call__(self, m, q, *args):
+        walk = [q, 0]
+        self.walks.append(walk)
+        return self._count(walk, coefficient_blocks(m, q, *args))
+
+    @staticmethod
+    def _count(walk, blocks):
+        for block in blocks:
+            walk[1] += 1
+            yield block
+
+
+@pytest.fixture
+def block_spy(monkeypatch):
+    spy = _BlockSpy()
+    monkeypatch.setattr(summation, "coefficient_blocks", spy)
+    return spy
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_discarded_doomed_error_consumes_no_block(cap, block_spy):
+    p = PascalParams(2.0, 1.0 - 1e-9)
+    with pytest.raises(SummationDivergenceError) as info:
+        oracle_sum("n_minus_1", p, cap)
+    assert block_spy.walks == []
+    # reading the last term walks every block once, and only once
+    info.value.last_term
+    str(info.value)
+    assert block_spy.walks == [[p.q, len(list(order_blocks(cap)))]]
+
+
+def _read_last_term_first(fn, weight, p, cap) -> str:
+    try:
+        value, order = fn(weight, p, cap)
+    except SummationDivergenceError as exc:
+        last_term = exc.last_term
+        return repr(("raised", str(exc), last_term, exc.order))
+    return repr(("value", np.asarray(value).tolist(), order))
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_last_term_read_before_str_equals_the_full_walk(cap):
+    rng = random.Random(cap + 1)
+    for _ in range(6):
+        p = _doomed_params(rng, cap)
+        for weight in _weights(rng):
+            got = _read_last_term_first(oracle_sum, weight, p, cap)
+            assert got == _outcome(_full_walk, weight, p, cap), (p, cap)
+
+
+def test_deferred_walk_runs_under_the_error_state_of_the_raise():
+    # at m = 3000 the raw coefficients overflow before the cap; the sum
+    # raises under errstate and its last term is read outside it, where a
+    # RuntimeWarning is an error (pyproject.toml), so an overflow warning
+    # from the deferred walk would fail the read
+    p = PascalParams(3000.0, 0.99)
+    for cap in CAPS:
+        for weight in _weights(random.Random(cap)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    oracle_sum(weight, p, cap)
+                except SummationDivergenceError as exc:
+                    error = exc
+                else:
+                    continue
+                want = _outcome(_full_walk, weight, p, cap)
+            last_term = error.last_term
+            assert repr(("raised", str(error), last_term, error.order)) == want
+
+
+@pytest.mark.parametrize("state", ["raise", "warn"])
+def test_a_read_that_raises_raises_the_same_again(state):
+    # at m = 3000 the raw coefficients overflow before the cap: under
+    # over="raise" the walk raises FloatingPointError, under over="warn" a
+    # RuntimeWarning, an error here (pyproject.toml); each read walks again
+    p = PascalParams(3000.0, 0.99)
+    with np.errstate(over=state):
+        with pytest.raises(SummationDivergenceError) as info:
+            oracle_sum("n_minus_1", p)
+    expected = FloatingPointError if state == "raise" else RuntimeWarning
+    for read in (lambda e: e.last_term, str, lambda e: e.last_term):
+        with pytest.raises(expected, match="overflow"):
+            read(info.value)
+
+
+def test_direct_critical_q_walks_no_block_at_q_max(block_spy, monkeypatch):
+    sampled = []
+
+    def recording_oracle_sum(weight, p, *args):
+        sampled.append(p.q)
+        return oracle_sum(weight, p, *args)
+
+    monkeypatch.setattr(criteria, "oracle_sum", recording_oracle_sum)
+    critical_q(CriterionId.THETA_IN_S, "direct", 2.5, SpiralClassParams(0.0, 0.0, 0.0))
+    assert Q_MAX in sampled
+    assert [q for q, _ in block_spy.walks if q == Q_MAX] == []
+    assert any(blocks for q, blocks in block_spy.walks if q < Q_MAX)
