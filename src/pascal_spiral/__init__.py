@@ -57,7 +57,6 @@ from .disk import (
 )
 from .scan import (
     BOUNDARY_ALL_Q,
-    BOUNDARY_NO_Q,
     CriticalQ,
     NonMonotoneMarginError,
     ScanRow,
@@ -78,8 +77,8 @@ __all__ = [
     "weight_S",
     "DenominatorError", "DiskGrid", "DiskReport", "convex_spiral_functional",
     "default_grid", "spiral_functional", "verify_on_disk",
-    "BOUNDARY_ALL_Q", "BOUNDARY_NO_Q", "CriticalQ", "NonMonotoneMarginError",
-    "ScanRow", "critical_q", "scan",
+    "BOUNDARY_ALL_Q", "CriticalQ", "NonMonotoneMarginError", "ScanRow",
+    "critical_q", "scan",
 ]
 
 __version__ = "0.1.0"

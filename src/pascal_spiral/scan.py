@@ -1,12 +1,28 @@
 """Critical-q search (where a criterion becomes tight) and parameter sweeps.
 
-The margin is sampled at 16 values of q, which checks empirically that it
-decreases in q and brackets its zero between neighbouring samples.  From
-that bracket the root is found by ITP (interpolate, truncate, project;
-Oliveira & Takahashi, ACM TOMS 47(1), 2020): a regula falsi step, pulled
-toward the midpoint and kept within bisection's worst-case step count.  It
-needs no derivative, keeps bisection's guarantee, and converges
-superlinearly on the smooth margins, typically in 3 to 8 steps."""
+Every margin 1-gamma - lhs decreases in q, in all 18 (criterion, variant)
+forms.  With X ~ NB(m, q), P(X = k) = C(k+m-1, m-1) q^k (1-q)^m, the direct
+lhs of theta-in-k, integral-in-s and the lambda criteria is E[h(X)] with
+h(0) = 0 and h(k) = w(k+1), where w is weight_K, weight_S/n, or weight_S or
+weight_K times the R^tau bound; the rederived lambda-in-k closed form is the
+R^tau prefactor times E[h(X)] with w = weight_S.  Each w is >= 0 and
+nondecreasing in n, because the slope A of weight_S(n) = A(n-1) + 1-gamma
+is >= 1-gamma >= (1-gamma) vartheta; and NB(m, q) increases in q in the
+likelihood-ratio order (Shaked & Shanthikumar, Stochastic Orders, 2007,
+1.C), so E[h(X)] does too.  The theta-in-s and integral-in-k lhs is
+A sum_k k C(k+m-1, m-1) q^k in every variant, a power series with
+nonnegative coefficients.  The other closed forms equal a direct lhs (times
+the positive R^tau prefactor for lambda-in-s) or are sums of terms that each
+increase in q (the printed convex form of theta-in-k and lambda-in-k).  So
+only rounding can make a margin rise, as sum_Sinv's does below q ~ 1e-3;
+tests/test_scan.py checks the property over the documented domain.
+
+At q = 0 the lhs is 0 and the margin 1-gamma > 0, so a root is either
+interior or absent up to Q_MAX.  critical_q brackets it by halving 1-q and
+finds it by ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM
+TOMS 47(1), 2020): a regula falsi step, pulled toward the midpoint and kept
+within bisection's worst-case step count.  It needs no derivative, keeps
+bisection's guarantee, and converges superlinearly on the smooth margins."""
 from __future__ import annotations
 
 import math
@@ -18,8 +34,10 @@ from .summation import SummationDivergenceError
 
 Q_MAX = 1.0 - 1e-9
 MAX_ITERATIONS = 60
-# the search stops once |margin| is at most this, or once the bracket the
-# step was chosen from is narrower than _Q_TOL
+# the search stops once |margin| is at most this times 1-gamma, the rhs (an
+# absolute bound takes a false root where 1-gamma, and with it the margin's
+# scale, is tiny), or once the bracket the step was chosen from is narrower
+# than _Q_TOL
 MARGIN_TOL = 1e-10
 _Q_TOL = 1e-14
 # ITP's truncation kappa1 * width**kappa2, written as 0.2 of the first
@@ -28,15 +46,16 @@ _Q_TOL = 1e-14
 _ITP_DELTA0 = 0.2
 _ITP_KAPPA2 = 2.5
 _ITP_N0 = 1
-_MONOTONE_SAMPLES = 16
 _MONOTONE_SLACK = 1e-12
 
 BOUNDARY_ALL_Q = "satisfied_for_all_q"
+# no result carries this label (the margin at q = 0 is 1-gamma > 0, so every
+# root is interior or all-q); perfbench/checks.py still reads it
 BOUNDARY_NO_Q = "unsatisfied_for_all_q"
 
 
 class NonMonotoneMarginError(RuntimeError):
-    """The criterion margin failed the decreasing-in-q precheck."""
+    """A halving probe's margin rose above the one before it."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +89,9 @@ def _margin(cid, variant, m, q, c, r) -> float:
         # is a convention for "unsatisfied", not a bound: at q = Q_MAX the
         # scaled partial sum is about (1e-9)^m times the raw one, tiny, and
         # a bounded lhs can sit here too (ROADMAP item 2: enclosures).  The
-        # error is discarded unread, so a doomed sum (every direct sample at
-        # Q_MAX) never walks its coefficients to the cap
+        # error is discarded unread, so a doomed sum (the direct margin at
+        # Q_MAX that critical_q takes first) never walks its coefficients to
+        # the cap
         return -math.inf
 
 
@@ -84,38 +104,36 @@ def critical_q(
 ) -> CriticalQ:
     """The q at which the criterion margin crosses zero.
 
-    Every criterion is satisfied as q -> 0 (lhs -> 0 <= 1-gamma).  The margin
-    is sampled at q = Q_MAX k/16, k = 1..16, and a sign-pattern violation of
-    monotonicity is a hard error.  The search starts from the bracket the
-    samples give: the first sample with margin <= 0 and the one before it,
-    or, when the first sample is already <= 0, the probe at 1e-6 times it.
-    iterations counts the ITP steps, one margin evaluation each, after the
-    samples and the probe."""
-    samples = [Q_MAX * k / _MONOTONE_SAMPLES for k in range(1, _MONOTONE_SAMPLES + 1)]
-    margins = [_margin(cid, variant, m, q, c, r) for q in samples]
-    for a, b in zip(margins, margins[1:]):
-        if b > a + _MONOTONE_SLACK:
+    The margin at Q_MAX decides the all-q boundary.  Otherwise the bracket
+    starts at (0, 1-gamma), exact since the lhs at q = 0 is 0, and its upper
+    end halves 1-q: q = 1 - 2^-k for k = 1, 2, ..., with the Q_MAX value in
+    place of any q past Q_MAX, up to the first margin that is <= 0 (or
+    NaN).  A probe whose margin rises above the one before it by more than
+    _MONOTONE_SLACK raises NonMonotoneMarginError.  iterations counts the
+    ITP steps, one margin evaluation each, after the probes."""
+    def margin(q):
+        return _margin(cid, variant, m, q, c, r)
+
+    f_top = margin(Q_MAX)
+    if f_top > 0.0:
+        return CriticalQ(Q_MAX, 0, f_top, BOUNDARY_ALL_Q)
+    rhs = 1.0 - c.gamma
+    lo, f_lo, gap = 0.0, rhs, 0.5
+    while True:
+        hi = min(1.0 - gap, Q_MAX)
+        f_hi = f_top if hi == Q_MAX else margin(hi)
+        if f_hi > f_lo + _MONOTONE_SLACK:
             raise NonMonotoneMarginError(
                 f"margin of {cid.value} not decreasing in q (variant={variant})"
             )
-    if margins[-1] > 0.0:
-        return CriticalQ(Q_MAX, 0, margins[-1], BOUNDARY_ALL_Q)
-    # a NaN last margin is neither > 0 nor <= 0: it closes the bracket
-    hi = next((k for k, f in enumerate(margins) if f <= 0.0), _MONOTONE_SAMPLES - 1)
-    if hi:
-        lo_q, f_lo = samples[hi - 1], margins[hi - 1]
-    else:
-        lo_q = samples[0] * 1e-6
-        f_lo = _margin(cid, variant, m, lo_q, c, r)
-        if f_lo <= 0.0:
-            return CriticalQ(0.0, 0, margins[0], BOUNDARY_NO_Q)
-    return _itp(
-        lambda q: _margin(cid, variant, m, q, c, r), lo_q, samples[hi], f_lo, margins[hi]
-    )
+        if not f_hi > 0.0:  # a NaN margin closes the bracket too
+            return _itp(margin, lo, hi, f_lo, f_hi, MARGIN_TOL * rhs)
+        lo, f_lo, gap = hi, f_hi, 0.5 * gap
 
 
-def _itp(f, lo: float, hi: float, f_lo: float, f_hi: float) -> CriticalQ:
-    """ITP search for the zero of a decreasing f with f(lo) > 0 >= f(hi).
+def _itp(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> CriticalQ:
+    """ITP search for the zero of a decreasing f with f(lo) > 0 >= f(hi),
+    to |f| <= tol.
 
     A step whose bracket has a non-finite end (the -inf of a diverged sum)
     is a midpoint step.  The projection keeps every step within the radius
@@ -136,7 +154,7 @@ def _itp(f, lo: float, hi: float, f_lo: float, f_hi: float) -> CriticalQ:
             if not lo < x < hi:  # rounding at a narrow bracket
                 x = mid
         f_x = f(x)
-        if abs(f_x) <= MARGIN_TOL or width < _Q_TOL:
+        if abs(f_x) <= tol or width < _Q_TOL:
             break
         if f_x > 0.0:
             lo, f_lo = x, f_x

@@ -45,8 +45,8 @@ def test_sum_sinv_is_accurate_at_small_q(m):
 
 @pytest.mark.xfail(
     raises=AssertionError,
-    reason="direct critical_q reports q* = 0.999677686817388 after 44 midpoint "
-    "steps toward the -inf its margin gives where the oracle hits its term cap, "
+    reason="direct critical_q reports q* = 0.9996776868173889 after 36 steps "
+    "toward the -inf its margin gives where the oracle hits its term cap, "
     "although the margin 1 - q is positive for every q",
 )
 def test_direct_critical_q_finds_no_false_root():
@@ -56,10 +56,10 @@ def test_direct_critical_q_finds_no_false_root():
 
 @pytest.mark.xfail(
     raises=AssertionError,
-    reason="direct critical_q reports q* = 0.9995727529066774 (residual 7.8e-11, "
-    "10 steps) at m = 3, and 0.9980468740019532 at m = 4: MARGIN_TOL = 1e-10 is "
-    "absolute, and the margin (1-q)^m falls below it although it is positive "
-    "for every q < 1",
+    reason="direct critical_q reports q* = 0.99957275390625 (residual 7.8e-11, "
+    "2 steps) at m = 3, and the same q* (residual 4.2e-14, 2 steps) at m = 4: "
+    "the stop rule |margin| <= MARGIN_TOL (1-gamma) = 1e-10 takes the margin "
+    "(1-q)^m for a root, although it is positive for every q < 1",
 )
 def test_direct_critical_q_takes_no_small_positive_margin_for_a_root():
     result = critical_q(CriterionId.G_IN_S, "direct", 3.0, FLAT)

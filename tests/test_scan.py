@@ -2,6 +2,8 @@ import importlib
 import math
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from pascal_spiral import (
     BOUNDARY_ALL_Q,
@@ -10,6 +12,7 @@ from pascal_spiral import (
     PascalParams,
     RTauParams,
     SpiralClassParams,
+    SummationDivergenceError,
     critical_q,
     evaluate_criterion,
     scan,
@@ -64,6 +67,34 @@ class TestCriticalQ:
         b = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, c)
         assert a == b
 
+    @pytest.mark.parametrize("variant", ["rederived", "direct"])
+    def test_root_below_q_1e_9_is_interior(self, variant):
+        # the margin is 1 - gamma at q = 0 and +0.6 at q = 1e-10, so the
+        # root is interior, however small; it is not "unsatisfied for all q"
+        r = RTauParams(1e9, 1.0, 0.0)
+        res = critical_q(CriterionId.LAMBDA_RTAU_IN_S, variant, 2.0, FLAT, r)
+        assert res.boundary == ""
+        assert 1e-10 < res.q_star < 1e-9
+        at = [
+            evaluate_criterion(CriterionId.LAMBDA_RTAU_IN_S, PascalParams(2.0, q), FLAT, r, variant).margin
+            for q in (1e-10, 1e-9)
+        ]
+        assert at[0] > 0.5 and at[1] < 0.0
+
+    def test_root_where_the_margin_is_tiny_in_scale(self):
+        # 1-gamma = 1e-7 and |tau| = 1e-7 scale the whole margin down, so
+        # that |margin| <= 1e-10 spans about 1e-3 in q; the stop rule is
+        # relative to 1-gamma, and the margin changes sign within 1e-6 of q*
+        c = SpiralClassParams(0.0, 1.0 - 1e-7, 0.0)
+        r = RTauParams(1e-7, 1.0, 0.0)
+        res = critical_q(CriterionId.LAMBDA_RTAU_IN_S, "direct", 2.0, c, r)
+        assert res.boundary == ""
+        below, above = (
+            evaluate_criterion(CriterionId.LAMBDA_RTAU_IN_S, PascalParams(2.0, q), c, r).margin
+            for q in (res.q_star - 1e-6, res.q_star + 1e-6)
+        )
+        assert below > 0.0 > above
+
     def test_paper_variant_agrees_for_coherent_criterion(self):
         c = SpiralClassParams(0.5, 0.25, 0.3)
         a = critical_q(CriterionId.THETA_IN_S, "paper", 2.0, c)
@@ -110,6 +141,35 @@ class TestMonotonicity:
             for g in (0.0, 0.25, 0.5, 0.75)
         ]
         assert all(b < a for a, b in zip(roots, roots[1:]))
+
+
+class TestMarginDecreasesInQ:
+    """critical_q brackets its root on the theorem that every margin
+    decreases in q (scan's module docstring); this checks it over the
+    documented domain, for each (criterion, variant) form."""
+
+    @pytest.mark.parametrize(
+        "cid, variant", [(cid, v) for cid in CriterionId for v in ("paper", "rederived", "direct")]
+    )
+    @given(
+        m=st.floats(1.0, 50.0),
+        qs=st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2, unique=True).map(sorted),
+        xi=st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True),
+        gamma=st.floats(0.0, 1.0, exclude_max=True),
+        rho=st.floats(0.0, 1.0, exclude_max=True),
+        tau=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_subnormal=False),
+        vartheta=st.floats(0.0, 1.0, exclude_min=True),
+        delta=st.floats(-10.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_margin_decreases_in_q(self, cid, variant, m, qs, xi, gamma, rho, tau, vartheta, delta):
+        c = SpiralClassParams(xi, gamma, rho)
+        r = RTauParams(tau, vartheta, delta)
+        try:
+            v1, v2 = (evaluate_criterion(cid, PascalParams(m, q), c, r, variant) for q in qs)
+        except (SummationDivergenceError, ZeroDivisionError, OverflowError):
+            reject()  # the large-m defects of ROADMAP item 5
+        assert v1.margin >= v2.margin - 1e-9 * max(1.0, abs(v2.lhs))
 
 
 class TestScan:
