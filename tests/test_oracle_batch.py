@@ -1,10 +1,14 @@
 """The batched oracle: a weight of shape (k, len(n)) sums its k rows in one
-pass, and each row must equal, bit for bit, the sum of that row alone."""
+pass, and each row must equal, bit for bit, the sum of that row alone.  A
+batch of more than two classes sums its criterion's two basis rows once and
+combines them per class; its values are checked bit for bit against that
+combination and, with the one-row values, against a 40-digit sum."""
 import itertools
 import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,22 +63,149 @@ def _scalar_lhs(cid, p, c, r):
     return direct(lambda n: weight_K(n, c) * rtau_bound(n, r))
 
 
+def _slope(c):
+    """A of weight_S(n) = A(n-1) + B, B = 1 - gamma."""
+    return (1.0 - c.rho) * c.sec_xi + c.rho * (1.0 - c.gamma)
+
+
+def _basis(cid, r, a):
+    """The rows a*b0(n) and b1(n) of cid's direct weight A*b0(n) + B*b1(n),
+    each product in the order weight_S and weight_K take it."""
+    if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
+        return lambda n: (n - 1.0) * a, np.ones_like
+    if cid is CriterionId.THETA_IN_K:
+        return lambda n: n * ((n - 1.0) * a), lambda n: n
+    if cid is CriterionId.G_IN_S:
+        return lambda n: (n - 1.0) * a / n, lambda n: 1.0 / n
+    if cid is CriterionId.LAMBDA_RTAU_IN_S:
+        return lambda n: (n - 1.0) * a * rtau_bound(n, r), lambda n: rtau_bound(n, r)
+    return lambda n: n * ((n - 1.0) * a) * rtau_bound(n, r), lambda n: n * rtau_bound(n, r)
+
+
+def _moment_lhs(cid, p, c, r, classes):
+    """Direct lhs of the class c as a batch of more than two classes gives
+    it: the two basis rows, row 0 scaled by the largest A of the batch, each
+    summed alone and combined as A*(M0/a) + B*M1."""
+    t = (1.0 - p.q) ** p.m
+    a = max(_slope(other) for other in classes)
+    m0, m1 = (t * oracle_sum(w, p)[0] for w in _basis(cid, r, a))
+    b = 1.0 - c.gamma
+    value = _slope(c) * (m0 / a) + b * m1
+    if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
+        return (value - b * (1.0 - t)) / t
+    return value
+
+
 def _stack(*weights):
     return lambda n: np.array([w(n) for w in weights])
 
 
 @pytest.mark.parametrize("cid", list(CriterionId))
 def test_batch_rows_bit_equal_to_scalar_lhs(cid):
+    # up to two classes, one row each: every value is the scalar lhs; more
+    # classes: every value is the combination of the two basis sums
     classes = _classes(7, seed=list(CriterionId).index(cid))
     r = RTAU if cid.needs_rtau else None
     for m, q in itertools.product(M_GRID, Q_GRID):
         p = PascalParams(m, q)
+        for k in (1, 2):
+            batch = _lhs_direct(cid, p, classes[:k], r)
+            assert len(batch) == k
+            for c, value in zip(classes, batch):
+                assert value == _scalar_lhs(cid, p, c, r), (cid, m, q, c)
+                lhs = evaluate_criterion(cid, p, c, r).lhs
+                assert type(lhs) is float and lhs == value
         batch = _lhs_direct(cid, p, classes, r)
         assert len(batch) == len(classes)
         for c, value in zip(classes, batch):
-            assert value == _scalar_lhs(cid, p, c, r), (cid, m, q, c)
-            lhs = evaluate_criterion(cid, p, c, r).lhs
-            assert type(lhs) is float and lhs == value
+            assert type(value) is float and value == _moment_lhs(cid, p, c, r, classes), (cid, m, q, c)
+
+
+def _mp_basis_sums(m, q, r):
+    """The raw sums of every criterion's basis rows b0, b1 (_basis at a = 1), by
+    mpmath at 40 digits: {cid: (sum of b0(n) c_n, sum of b1(n) c_n)} with
+    c_n = C(n+m-2, m-1) q^(n-1), summed from n = 2 until a geometric bound
+    on the rest of every sum is below 1e-24 of it."""
+    m, q = mpmath.mpf(m), mpmath.mpf(q)
+    bound = 2 * abs(mpmath.mpmathify(r.tau)) * (1 - mpmath.mpf(r.delta))
+    # every basis weight is at most n^2 * top
+    top = max(1, bound)
+    rows = {
+        CriterionId.THETA_IN_S: (lambda n, R: n - 1, lambda n, R: 1),
+        CriterionId.THETA_IN_K: (lambda n, R: n * (n - 1), lambda n, R: n),
+        CriterionId.G_IN_S: (lambda n, R: (n - 1) / n, lambda n, R: 1 / n),
+        CriterionId.LAMBDA_RTAU_IN_S: (lambda n, R: (n - 1) * R, lambda n, R: R),
+        CriterionId.LAMBDA_RTAU_IN_K: (lambda n, R: n * (n - 1) * R, lambda n, R: n * R),
+    }
+    sums = {cid: [mpmath.mpf(0), mpmath.mpf(0)] for cid in rows}
+    n, c = 2, m * q
+    while True:
+        nn = mpmath.mpf(n)
+        R = bound / (1 + mpmath.mpf(r.vartheta) * (nn - 1))
+        for cid, (b0, b1) in rows.items():
+            sums[cid][0] += b0(nn, R) * c
+            sums[cid][1] += b1(nn, R) * c
+        # the term ratio of n^2 c_n, which decreases in n, bounds the rest
+        rho = q * (nn + m - 1) / nn * ((nn + 1) / nn) ** 2
+        if rho < 1 and nn * nn * top * c * rho / (1 - rho) < mpmath.mpf(10) ** -24 * min(
+            min(pair) for pair in sums.values()
+        ):
+            break
+        c *= q * (nn + m - 1) / nn
+        n += 1
+    sums[CriterionId.G_IN_K] = sums[CriterionId.THETA_IN_S]
+    return sums
+
+
+def test_direct_paths_agree_with_a_40_digit_sum():
+    # the one-row values of evaluate_criterion and the two-row values of a
+    # batch, against the same lhs summed at 40 digits, on the scale of
+    # max(1, |lhs|); rtau is scaled by 1 + vartheta(n-1) with vartheta 0.35.
+    # sec(xi) reaches 1e4 at xi = -1.5707, where an unscaled row 0 would
+    # carry the oracle's absolute stop error times A
+    classes = _classes(7, seed=5) + [SpiralClassParams(-1.5707, 0.0, 0.0), SpiralClassParams(0.0, 0.99, 0.99)]
+    with mpmath.workdps(40):
+        for m, q in itertools.product(M_GRID, Q_GRID):
+            p = PascalParams(m, q)
+            sums = _mp_basis_sums(m, q, RTAU)
+            t = (1 - mpmath.mpf(q)) ** m
+            for cid in CriterionId:
+                r = RTAU if cid.needs_rtau else None
+                batch = _lhs_direct(cid, p, classes, r)
+                for c, value in zip(classes, batch):
+                    a = (1 - mpmath.mpf(c.rho)) * mpmath.sec(c.xi) + c.rho * (1 - mpmath.mpf(c.gamma))
+                    b = 1 - mpmath.mpf(c.gamma)
+                    ref = t * (a * sums[cid][0] + b * sums[cid][1])
+                    if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
+                        ref = (ref - b * (1 - t)) / t
+                    scale = 1e-13 * max(1.0, abs(float(ref)))
+                    scalar = evaluate_criterion(cid, p, c, r).lhs
+                    assert abs(value - ref) <= scale, (cid, m, q, c, value, ref)
+                    assert abs(scalar - ref) <= scale, (cid, m, q, c, scalar, ref)
+
+
+def test_report_sums_at_most_two_rows_per_call(monkeypatch):
+    rows, cids = [], []
+
+    def recorded(weight, p, *args, **kwargs):
+        rows.append(len(np.atleast_2d(weight(np.array([2.0, 3.0])))))
+        return oracle_sum(weight, p, *args, **kwargs)
+
+    def recorded_direct(cid, p, cs, r):
+        cids.append(cid)
+        return _lhs_direct(cid, p, cs, r)
+
+    monkeypatch.setattr(criteria, "oracle_sum", recorded)
+    monkeypatch.setattr(criteria, "_lhs_direct", recorded_direct)
+    report = discrepancy_report(m_grid=(1.5, 3.0), q_grid=(0.3, 0.9))
+    assert report["points_checked"] == 6 * 2 * 2 * 36
+    # one sum of at most two rows per (criterion, m, q), and integral-in-k
+    # takes theta-in-s's values
+    assert len(rows) == 5 * 2 * 2 and max(rows) == 2
+    assert CriterionId.G_IN_K not in cids and len(cids) == len(rows)
+    rows.clear()
+    report = discrepancy_report(xi_grid=(), m_grid=(1.5, 3.0), q_grid=(0.3, 0.9))
+    assert report["points_checked"] == 0 and rows == []
 
 
 def test_batch_of_many_rows_runs_in_sub_chunks():
@@ -232,31 +363,38 @@ def test_report_errors_surface_in_point_by_point_order():
 
 
 def test_discrepancy_report_matches_point_by_point():
-    classes = _classes(5, seed=11)
-    grids = dict(
-        xi_grid=sorted({c.xi for c in classes}),
-        gamma_grid=(0.0, 0.6),
-        rho_grid=(0.2, 0.9),
-        m_grid=(1.0 + 1e-7, 12.0),
-        q_grid=(1e-6, 0.99),
-        r=RTAU,
-    )
-    report = discrepancy_report(threshold=0.0, **grids)
-    expected = []
-    for cid in CriterionId:
-        r = RTAU if cid.needs_rtau else None
-        for m, q, xi, gamma, rho in itertools.product(
-            grids["m_grid"], grids["q_grid"], grids["xi_grid"], grids["gamma_grid"], grids["rho_grid"]
-        ):
-            direct = _scalar_lhs(cid, PascalParams(m, q), SpiralClassParams(xi, gamma, rho), r)
-            expected.append((cid.value, m, q, xi, gamma, rho, direct))
-    rows = report["flagged_rows"]
-    assert report["points_checked"] == len(expected)
-    assert all(type(row["direct_lhs"]) is float for row in rows)
-    got = {tuple(row[k] for k in ("criterion", "m", "q", "xi", "gamma", "rho")): row["direct_lhs"] for row in rows}
-    for *key, direct in expected:
-        if tuple(key) in got:
-            assert got[tuple(key)] == direct, key
+    # the direct value of every point is its scalar lhs in a report over two
+    # classes, and the combination of its batch's basis sums over twenty
+    xis = sorted({c.xi for c in _classes(5, seed=11)})
+    for xi_grid, gamma_grid, rho_grid in ((xis, (0.0, 0.6), (0.2, 0.9)), (xis[:2], (0.6,), (0.2,))):
+        grids = dict(
+            xi_grid=xi_grid,
+            gamma_grid=gamma_grid,
+            rho_grid=rho_grid,
+            m_grid=(1.0 + 1e-7, 12.0),
+            q_grid=(1e-6, 0.99),
+            r=RTAU,
+        )
+        report = discrepancy_report(threshold=0.0, **grids)
+        classes = [SpiralClassParams(*c) for c in itertools.product(xi_grid, gamma_grid, rho_grid)]
+        expected = []
+        for cid in CriterionId:
+            r = RTAU if cid.needs_rtau else None
+            for m, q, c in itertools.product(grids["m_grid"], grids["q_grid"], classes):
+                p = PascalParams(m, q)
+                if len(classes) > 2:
+                    direct = _moment_lhs(cid, p, c, r, classes)
+                else:
+                    direct = _scalar_lhs(cid, p, c, r)
+                expected.append((cid.value, m, q, c.xi, c.gamma, c.rho, direct))
+        rows = report["flagged_rows"]
+        assert report["points_checked"] == len(expected)
+        assert all(type(row["direct_lhs"]) is float for row in rows)
+        got = {tuple(row[k] for k in ("criterion", "m", "q", "xi", "gamma", "rho")): row["direct_lhs"] for row in rows}
+        assert got
+        for *key, direct in expected:
+            if tuple(key) in got:
+                assert got[tuple(key)] == direct, key
 
 
 def _loop_truncation_order(p, threshold, radius, cap):
