@@ -48,10 +48,6 @@ WEIGHTS: dict[str, Callable] = {
 }
 
 
-# terms (rows x columns) in one sub-chunk of a block, as in the largest
-# block of a one-row sum
-_CHUNK = 16384
-
 # a sum is doomed when the coefficient ratio at the cap clears 1 by more
 # than the few ulps that rounding q*(n+m-1)/n can move it at any order
 _DOOMED_RATIO = 1.0 + 8.0 * np.finfo(float).eps
@@ -71,6 +67,10 @@ def oracle_sum(
     over one shared coefficient sequence and gives (values, sum of the k
     orders N): each row stops where it would alone, and equals bit for bit
     the value of a weight returning that row only.
+
+    The weight is called once per block of series.order_blocks (512 orders,
+    doubling up to 16384) on its orders n0..hi, the first call telling k,
+    so a k-row sum's temporaries hold k x up to 16,385 values.
 
     Termination uses the geometric tail bound
     |t_N| rhat/(1-rhat) < TAIL_THRESHOLD*max(1, |partial|), where rhat
@@ -114,48 +114,33 @@ def oracle_sum(
     total = 0.0
     last_term = [m * q]
     for n0, n, ratios, coeffs in blocks:
-        size = len(coeffs)
         # weights are evaluated once on n0..hi and sliced into w(n), w(n+1)
-        w_block = None
+        w_ext = np.asarray(w(n), dtype=float)
         if not k:
-            # the first block (at most 512 orders) is evaluated in one call,
-            # whose shape tells k; every later call covers one sub-chunk
-            w_block = np.asarray(w(n), dtype=float)
-            scalar = w_block.ndim == 1
-            w_block = w_block.reshape(-1, size + 1)
-            k = left = w_block.shape[0]
+            scalar = w_ext.ndim == 1
+            k = left = w_ext.reshape(-1, len(n)).shape[0]
             if not k:
                 return np.empty(0), 0
             values, orders = [0.0] * k, [0] * k
-            chunk = max(1, _CHUNK // k)
-        for j0 in range(0, size, chunk):
-            j1 = min(j0 + chunk, size)
-            if w_block is None:
-                w_ext = np.asarray(w(n[j0 : j1 + 1]), dtype=float).reshape(k, -1)
-            else:
-                w_ext = w_block[:, j0 : j1 + 1]
-            wn, wnext = w_ext[:, :-1], w_ext[:, 1:]
-            terms = wn * coeffs[j0:j1]
-            if j0:  # the block-local running sum carries on from the last chunk
-                run = np.cumsum(np.concatenate((run[:, -1:], terms), axis=1), axis=1)[:, 1:]
-            else:
-                run = np.cumsum(terms, axis=1)
-            prefix = total + run
-            # a zero weight followed by a zero weight contributes nothing to
-            # the tail ratio; a zero followed by a nonzero forces one more step
-            wratio = np.where(wnext == 0.0, 1.0, np.inf)
-            np.divide(wnext, wn, out=wratio, where=wn != 0.0)
-            rhat = ratios[j0:j1] * np.maximum(wratio, 1.0)
-            done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(1.0, np.abs(prefix))
-            if done.any():
-                first = done.argmax(axis=1)
-                for i in range(k):
-                    j = first[i]
-                    if not orders[i] and done[i, j]:
-                        values[i], orders[i] = prefix[i, j], n0 + j0 + int(j)
-                        left -= 1
-                if not left:
-                    return _oracle_result(values, orders, scalar)
+        w_ext = w_ext.reshape(k, -1)
+        wn, wnext = w_ext[:, :-1], w_ext[:, 1:]
+        terms = wn * coeffs
+        prefix = total + np.cumsum(terms, axis=1)
+        # a zero weight followed by a zero weight contributes nothing to
+        # the tail ratio; a zero followed by a nonzero forces one more step
+        wratio = np.where(wnext == 0.0, 1.0, np.inf)
+        np.divide(wnext, wn, out=wratio, where=wn != 0.0)
+        rhat = ratios[:-1] * np.maximum(wratio, 1.0)
+        done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(1.0, np.abs(prefix))
+        if done.any():
+            first = done.argmax(axis=1)
+            for i in range(k):
+                j = first[i]
+                if not orders[i] and done[i, j]:
+                    values[i], orders[i] = prefix[i, j], n0 + int(j)
+                    left -= 1
+            if not left:
+                return _oracle_result(values, orders, scalar)
         total = prefix[:, -1:]
         last_term = np.abs(terms[:, -1])
     raise SummationDivergenceError(float(last_term[orders.index(0)]), cap)

@@ -28,7 +28,8 @@ from pascal_spiral import (
 )
 from pascal_spiral import criteria, summation
 from pascal_spiral.criteria import _lhs_closed, _lhs_direct
-from pascal_spiral.series import rtau_bound
+from pascal_spiral.series import TRUNCATION_CAP, order_blocks, rtau_bound
+from test_oracle_doomed import _full_walk
 
 Q_GRID = (1e-6, 0.3, 0.99)
 M_GRID = (1.0 + 1e-7, 1.5, 12.0)
@@ -208,22 +209,28 @@ def test_report_sums_at_most_two_rows_per_call(monkeypatch):
     assert report["points_checked"] == 0 and rows == []
 
 
-def test_batch_of_many_rows_runs_in_sub_chunks():
-    # 40 rows leave 16384 // 40 = 409 columns per chunk, fewer than the
-    # first block's 512; q = 0.99 at m = 12 needs several blocks
-    classes = _classes(40, seed=7)
-    for q in (0.3, 0.99):
-        p = PascalParams(12.0, q)
-        weights = [lambda n, c=c: weight_K(n, c) * rtau_bound(n, RTAU) for c in classes]
-        values, order_sum = oracle_sum(_stack(*weights), p)
+def test_batch_of_many_rows_equals_its_rows_alone():
+    # 40 rows at m = 12 and q = 0.99 stop past the first 512-order block;
+    # the rows n - 1 and 1/n at m = 2, q = 0.999 stop at orders 38,900 and
+    # 32,253, in two different 16384-order blocks
+    many = [lambda n, c=c: weight_K(n, c) * rtau_bound(n, RTAU) for c in _classes(40, seed=7)]
+    two = [summation.WEIGHTS["n_minus_1"], summation.WEIGHTS["inv_n"]]
+    for weights, m, q in ((many, 12.0, 0.3), (many, 12.0, 0.99), (two, 2.0, 0.999)):
+        p = PascalParams(m, q)
+        batch = _stack(*weights)
+        values, order_sum = oracle_sum(batch, p)
         alone = [oracle_sum(w, p) for w in weights]
         assert values.tolist() == [value for value, _ in alone]
         assert order_sum == sum(order for _, order in alone)
+        # the sub-chunked walk, whose running sum carries from chunk to chunk
+        walked, walked_order_sum = _full_walk(batch, p)
+        assert values.tolist() == walked.tolist() and order_sum == walked_order_sum
         if q == 0.99:
             assert min(order for _, order in alone) > 512
+    assert [order for _, order in alone] == [38900, 32253]
 
 
-def test_weight_calls_after_the_first_stay_within_a_sub_chunk():
+def test_weight_is_called_once_per_block():
     widths = []
     batch = _stack(*[lambda n, a=a: n + a for a in range(40)])
 
@@ -232,9 +239,10 @@ def test_weight_calls_after_the_first_stay_within_a_sub_chunk():
         return batch(n)
 
     oracle_sum(recorded, PascalParams(12.0, 0.99))
-    # the first call, which tells the number of rows, spans the first block
-    assert widths[0] == 513
-    assert len(widths) > 5 and max(widths[1:]) == 16384 // 40 + 1
+    # one call on n0..hi for each block of order_blocks, up to the block in
+    # which the last row stops
+    blocks = [hi - n0 + 1 for n0, hi in order_blocks(TRUNCATION_CAP)]
+    assert widths == blocks[: len(widths)] == [513, 1025, 2049, 4097]
 
 
 def test_order_sum_is_sum_of_row_orders():

@@ -36,7 +36,9 @@ RTAU = RTauParams(tau=0.6 - 1.1j, vartheta=0.35, delta=-0.4)
 
 def _full_walk(weight, p: PascalParams, cap: int = TRUNCATION_CAP):
     """The block walk without the early stop: every row's stop test at every
-    order up to the cap, in the same blocks and sub-chunks as oracle_sum."""
+    order up to the cap, in the same blocks as oracle_sum, each cut into
+    sub-chunks of 16384 // k columns whose running sum carries from chunk to
+    chunk.  An independent reference for oracle_sum's one cumsum per block."""
     w = WEIGHTS[weight] if isinstance(weight, str) else weight
     m, q = p.m, p.q
     k, orders, total, coeff, last_term = 0, [0], 0.0, m * q, [m * q]
