@@ -175,41 +175,22 @@ def _m1_raw_closed(p: PascalParams, c: SpiralClassParams) -> float:
     return _slope(c) * p.q * p.m / (1.0 - p.q) + (1.0 - c.gamma) * (1.0 - t)
 
 
-def _direct_sum(weight_fn, p: PascalParams) -> list[float]:
-    values, _ = oracle_sum(weight_fn, p)
-    t = (1.0 - p.q) ** p.m
-    return [t * value for value in np.ravel(values).tolist()]
-
-
-class _Columns(tuple):
-    """A sequence of classes that also holds their parameters as (k, 1)
-    columns under the SpiralClassParams names, with the slope A of
+def _columns(classes):
+    """The parameters of a sequence of classes as (k, 1) columns under the
+    SpiralClassParams names, with the slope A of
     weight_S(n) = A(n-1) + (1-gamma), so that weight_S(n, cols) holds one row
     per class, each computed elementwise as weight_S(n, c)."""
-
-    def __new__(cls, cs):
-        self = super().__new__(cls, cs)
-        cols = np.array([[c.rho, c.gamma, c.sec_xi] for c in self]).reshape(-1, 3)
-        self.rho, self.gamma, self.sec_xi = cols[:, 0:1], cols[:, 1:2], cols[:, 2:3]
-        self.slope = _slope(self)
-        return self
-
-
-def _columns(cs):
-    """The classes cs as _Columns, built once: a _Columns is returned as
-    itself.  One class is returned as itself: the closed forms take 5-9 us on
-    its floats and 16-47 us on (1, 1) columns."""
-    if len(cs) == 1:
-        return cs[0]
-    return cs if isinstance(cs, _Columns) else _Columns(cs)
+    cols = np.array([[c.rho, c.gamma, c.sec_xi] for c in classes]).reshape(-1, 3)
+    cols = SimpleNamespace(rho=cols[:, 0:1], gamma=cols[:, 1:2], sec_xi=cols[:, 2:3])
+    cols.slope = _slope(cols)
+    return cols
 
 
 def _lhs_closed(
-    cid: CriterionId, p: PascalParams, cs, r: RTauParams | None, rederived: bool
+    cid: CriterionId, p: PascalParams, c, r: RTauParams | None, rederived: bool
 ) -> list[float]:
-    """Closed-form lhs of each class in the sequence cs, computed on the
-    columns of all classes at once."""
-    c = _columns(cs)
+    """Closed-form lhs of c, one SpiralClassParams or the _columns of several
+    classes, one value per class."""
     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
         lhs = _spiral_sum_closed(p, c)
     elif cid is CriterionId.THETA_IN_K:
@@ -227,23 +208,26 @@ def _lhs_closed(
 
 
 def _lhs_direct(
-    cid: CriterionId, p: PascalParams, cs, r: RTauParams | None
+    cid: CriterionId, p: PascalParams, c, r: RTauParams | None
 ) -> list[float]:
-    """Direct lhs of each class in the sequence cs, from one oracle pass.
+    """Direct lhs of c, one SpiralClassParams or the _columns of several
+    classes, one value per class, from one oracle pass.
 
-    One or two classes are summed one row each.  More classes share one sum
-    of two basis rows: every direct weight is A*b0(n) + B*b1(n), with
-    A = _slope(c) >= 0 and B = 1 - gamma in (0, 1], so the classes enter only
-    through A and B, and combining the rows cancels nothing.  Row 0 is
-    a*b0(n), with a the largest A: the oracle's stop rule, absolute below 1,
-    then bounds each class's share of the truncation error by what its own
-    row's stop rule would allow, as B <= 1 does for row 1."""
-    cols = rows = _columns(cs)
-    if len(cs) > 2:
+    One class is summed on its floats, one or two columns one row each.
+    More columns share one sum of two basis rows: every direct weight is
+    A*b0(n) + B*b1(n), with A = _slope(c) >= 0 and B = 1 - gamma in (0, 1],
+    so the classes enter only through A and B, and combining the rows
+    cancels nothing.  Row 0 is a*b0(n), with a the largest A: the
+    oracle's stop rule, absolute below 1, then bounds each class's share of
+    the truncation error by what its own row's stop rule would allow, as
+    B <= 1 does for row 1."""
+    batch = not isinstance(c, SpiralClassParams)
+    rows = c
+    if batch and len(c.gamma) > 2:
         # at rho = 0, A = sec_xi and B = 1 - gamma: these two pseudo-classes
         # are (A, B) = (a, 0) and (0, 1), whose weight rows are a*b0(n) and
         # b1(n) exactly, every other factor being 0 or 1
-        a = float(cols.slope.max())
+        a = float(c.slope.max())
         rows = SimpleNamespace(
             rho=np.zeros((2, 1)), gamma=np.array([[1.0], [0.0]]), sec_xi=np.array([[a], [0.0]])
         )
@@ -262,13 +246,16 @@ def _lhs_direct(
         weight = lambda n: weight_K(n, rows) * rtau_bound(n, r)  # noqa: E731
     else:
         raise ValueError(cid)
-    values = _direct_sum(weight, p)
-    if rows is not cols:
-        values = (cols.slope * (values[0] / a) + (1.0 - cols.gamma) * values[1]).ravel().tolist()
+    t = (1.0 - p.q) ** p.m
+    values = t * oracle_sum(weight, p)[0]
+    if rows is not c:
+        values = c.slope * (values[0] / a) + (1.0 - c.gamma) * values[1]
+    elif batch:
+        # the (k,) row sums as a column, the shape of c.gamma
+        values = values[:, None]
     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
-        t = (1.0 - p.q) ** p.m
-        return [(v - (1.0 - c.gamma) * (1.0 - t)) / t for v, c in zip(values, cs)]
-    return values
+        values = (values - (1.0 - c.gamma) * (1.0 - t)) / t
+    return np.ravel(values).tolist()
 
 
 def evaluate_criterion(
@@ -288,9 +275,9 @@ def evaluate_criterion(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "direct":
-        lhs = _lhs_direct(cid, p, (c,), r)[0]
+        lhs = _lhs_direct(cid, p, c, r)[0]
     else:
-        lhs = _lhs_closed(cid, p, (c,), r, rederived=(variant == "rederived"))[0]
+        lhs = _lhs_closed(cid, p, c, r, rederived=(variant == "rederived"))[0]
     rhs = 1.0 - c.gamma
     margin = rhs - lhs
     return Verdict(lhs=lhs, rhs=rhs, margin=margin, satisfied=margin >= 0.0, variant=variant)
@@ -363,10 +350,14 @@ def discrepancy_report(
     unscaled test would flag agreement noise."""
     if not 0.0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    classes = _Columns(
+    if r is None:
+        # as evaluate_criterion refuses it, here before any sum runs
+        raise ValueError(f"{CriterionId.LAMBDA_RTAU_IN_S.value} requires R^tau parameters")
+    classes = [
         SpiralClassParams(xi, gamma, rho)
         for xi in xi_grid for gamma in gamma_grid for rho in rho_grid
-    )
+    ]
+    cols = _columns(classes)
     points = [(m, q) for m in m_grid for q in q_grid]
     batches, papers, directs, theta_directs = [], [], [], []
     for cid in CriterionId:
@@ -380,11 +371,11 @@ def discrepancy_report(
             # surfaces before a sum runs to its order cap.  An overflow gives
             # a silent inf or nan, as on floats
             with np.errstate(over="ignore", invalid="ignore"):
-                papers += _lhs_closed(cid, p, classes, rc, False)
+                papers += _lhs_closed(cid, p, cols, rc, False)
             if cid is CriterionId.G_IN_K:
                 direct = theta_directs[j]
             else:
-                direct = _lhs_direct(cid, p, classes, rc)
+                direct = _lhs_direct(cid, p, cols, rc)
             if cid is CriterionId.THETA_IN_S:
                 theta_directs.append(direct)
             directs += direct

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class DiskGrid:
         for r in self.radii:
             if not 0.0 < r <= 1.0 - 1e-3:
                 raise ValueError(f"radii must lie in (0, 1-1e-3], got {r}")
-        if self.angles_per_ring < 8:
+        if operator.index(self.angles_per_ring) < 8:
             raise ValueError("angles_per_ring must be >= 8")
 
     @property

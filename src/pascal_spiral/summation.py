@@ -167,8 +167,6 @@ def _oracle_result(values, orders, scalar):
 
 def sum_S0(p: PascalParams) -> float:
     """sum_{n>=2} C(n+m-2, m-1) q^{n-1} = (1-q)^{-m} - 1."""
-    if p.q == 0.0:
-        return 0.0
     return (1.0 - p.q) ** (-p.m) - 1.0
 
 

@@ -71,6 +71,15 @@ COMMANDS = {
         "discrepancy-report", "--m-grid", "1,2", "--q-grid", "0.3,0.5",
         "--xi-grid", "0", "--gamma-grid", "0,0.5", "--rho-grid", "0",
     ],
+    "discrepancy-report-one-class": [
+        "discrepancy-report", "--m-grid", "1,2", "--q-grid", "0.3,0.9",
+        "--xi-grid", "0.5", "--gamma-grid", "0.25", "--rho-grid", "0.3",
+    ],
+    "discrepancy-report-basis": [
+        "discrepancy-report", "--m-grid", "1,2", "--q-grid", "0.3,0.9",
+        "--xi-grid", "0,0.5", "--gamma-grid", "0,0.5", "--rho-grid", "0.3",
+        "--tau-re", "0.8", "--vartheta", "0.7",
+    ],
 }
 ERRORS = {
     "coeffs-q-out-of-range": ["coeffs", "--q", "1.5"],

@@ -19,6 +19,7 @@ from pascal_spiral import (
     weight_K,
     weight_S,
 )
+from pascal_spiral import criteria
 
 FLAT = SpiralClassParams(0.0, 0.0, 0.0)
 RTAU1 = RTauParams(1.0, 1.0, 0.0)
@@ -216,3 +217,12 @@ class TestDiscrepancyReport:
         # a nan threshold once flagged nothing and was echoed as NaN
         with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
             discrepancy_report(threshold=threshold, m_grid=(1.0,), q_grid=(0.2,))
+
+    def test_missing_rtau_raises_before_any_sum(self, monkeypatch):
+        # r=None once raised AttributeError from the lambda closed forms,
+        # after the theta sums had run
+        calls = []
+        monkeypatch.setattr(criteria, "oracle_sum", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"lambda-in-s requires R\^tau parameters"):
+            discrepancy_report(r=None, m_grid=(2.0,), q_grid=(0.3,))
+        assert calls == []

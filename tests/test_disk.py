@@ -48,6 +48,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             DiskGrid(angles_per_ring=4)
 
+    def test_requires_integer_angles(self):
+        # 8.5 once gave point_count 8.5 while 9 unevenly spaced angles were
+        # checked
+        with pytest.raises(TypeError):
+            DiskGrid(angles_per_ring=8.5)
+        assert DiskGrid((0.5,), np.int64(8)).point_count == 8
+
 
 class TestSpiralFunctional:
     def test_identity_series_constant(self):

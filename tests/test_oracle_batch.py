@@ -19,6 +19,7 @@ from pascal_spiral import (
     SpiralClassParams,
     SummationDivergenceError,
     adaptive_truncation_order,
+    critical_q,
     discrepancy_report,
     evaluate_criterion,
     oracle_sum,
@@ -27,7 +28,7 @@ from pascal_spiral import (
     weight_S,
 )
 from pascal_spiral import criteria, summation
-from pascal_spiral.criteria import _lhs_closed, _lhs_direct
+from pascal_spiral.criteria import _columns, _lhs_closed, _lhs_direct
 from pascal_spiral.series import TRUNCATION_CAP, order_blocks, rtau_bound
 from test_oracle_doomed import _full_walk
 
@@ -110,16 +111,45 @@ def test_batch_rows_bit_equal_to_scalar_lhs(cid):
     for m, q in itertools.product(M_GRID, Q_GRID):
         p = PascalParams(m, q)
         for k in (1, 2):
-            batch = _lhs_direct(cid, p, classes[:k], r)
+            batch = _lhs_direct(cid, p, _columns(classes[:k]), r)
             assert len(batch) == k
             for c, value in zip(classes, batch):
                 assert value == _scalar_lhs(cid, p, c, r), (cid, m, q, c)
                 lhs = evaluate_criterion(cid, p, c, r).lhs
                 assert type(lhs) is float and lhs == value
-        batch = _lhs_direct(cid, p, classes, r)
+        batch = _lhs_direct(cid, p, _columns(classes), r)
         assert len(batch) == len(classes)
         for c, value in zip(classes, batch):
             assert type(value) is float and value == _moment_lhs(cid, p, c, r, classes), (cid, m, q, c)
+
+
+def test_one_class_stays_on_floats(monkeypatch):
+    # evaluate_criterion and critical_q hand their class to _lhs_direct and
+    # _lhs_closed as it is: no columns are built, and each lhs is [float]
+    def refused(classes):
+        raise AssertionError("columns built for one class")
+
+    returned = []
+
+    def recorded(lhs):
+        def wrapped(*args, **kwargs):
+            values = lhs(*args, **kwargs)
+            returned.append(values)
+            return values
+        return wrapped
+
+    monkeypatch.setattr(criteria, "_columns", refused)
+    monkeypatch.setattr(criteria, "_lhs_direct", recorded(_lhs_direct))
+    monkeypatch.setattr(criteria, "_lhs_closed", recorded(_lhs_closed))
+    c, p = SpiralClassParams(0.4, 0.3, 0.2), PascalParams(1.5, 0.3)
+    for cid in CriterionId:
+        r = RTAU if cid.needs_rtau else None
+        for variant in ("paper", "rederived", "direct"):
+            evaluate_criterion(cid, p, c, r, variant)
+    assert len(returned) == 6 * 3
+    critical_q(CriterionId.THETA_IN_K, "direct", 2.0, c)
+    assert len(returned) > 6 * 3
+    assert all(len(values) == 1 and type(values[0]) is float for values in returned)
 
 
 def _mp_basis_sums(m, q, r):
@@ -172,7 +202,7 @@ def test_direct_paths_agree_with_a_40_digit_sum():
             t = (1 - mpmath.mpf(q)) ** m
             for cid in CriterionId:
                 r = RTAU if cid.needs_rtau else None
-                batch = _lhs_direct(cid, p, classes, r)
+                batch = _lhs_direct(cid, p, _columns(classes), r)
                 for c, value in zip(classes, batch):
                     a = (1 - mpmath.mpf(c.rho)) * mpmath.sec(c.xi) + c.rho * (1 - mpmath.mpf(c.gamma))
                     b = 1 - mpmath.mpf(c.gamma)
@@ -261,7 +291,7 @@ def test_q_zero():
     values, order_sum = oracle_sum(_stack(np.ones_like, lambda n: n), p)
     assert values.tolist() == [0.0, 0.0] and order_sum == 4
     c = SpiralClassParams(0.3, 0.2, 0.1)
-    assert _lhs_direct(CriterionId.THETA_IN_K, p, [c, c, c], None) == [0.0] * 3
+    assert _lhs_direct(CriterionId.THETA_IN_K, p, _columns([c, c, c]), None) == [0.0] * 3
 
 
 def test_zero_weight_row():
@@ -306,7 +336,7 @@ def test_closed_batch_bit_equal_to_scalar_closed_forms(cid, k):
     for m, q in itertools.product(M_GRID + (1.0,), (0.0,) + Q_GRID):
         p = PascalParams(m, q)
         for variant in ("paper", "rederived"):
-            batch = _lhs_closed(cid, p, classes, r, variant == "rederived")
+            batch = _lhs_closed(cid, p, _columns(classes), r, variant == "rederived")
             scalar = [evaluate_criterion(cid, p, c, r, variant).lhs for c in classes]
             assert all(type(value) is float for value in batch)
             assert batch == scalar, (cid, m, q, variant)
@@ -356,7 +386,7 @@ def test_underflow_in_closed_batch_raises_float_division_error():
 def test_closed_batch_overflows_silently_as_floats_do(monkeypatch):
     # at m = 2000, q = 0.3 theta-in-s and integral-in-k overflow to inf;
     # on floats that is silent, and so it stays on the class batch
-    monkeypatch.setattr(criteria, "_lhs_direct", lambda cid, p, cs, r: [0.0] * len(cs))
+    monkeypatch.setattr(criteria, "_lhs_direct", lambda cid, p, cs, r: [0.0] * len(cs.gamma))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = discrepancy_report(threshold=0.0, m_grid=(2000.0,), q_grid=(0.3,))
