@@ -15,9 +15,12 @@ A = (1-rho)sec(xi) + rho(1-gamma) >= 0, B = 1-gamma > 0 and a basis (b0, b1)
 per criterion, e.g. (n-1, 1) for theta-in-s and (n(n-1), n) for theta-in-k.
 One class (evaluate_criterion) or two are summed one row each; a batch of
 more classes (discrepancy_report) sums the two basis rows once and combines
-them per class.  On 6 criteria x 9 (m, q) x 25 classes, with q from 1e-6 to
-0.99 and sec(xi) up to 1e4, both stay within 1.5e-14*max(1, |lhs|) of a
-40-digit sum, and within 1e-14 of each other on that scale.
+them per class.  evaluate_criterion sums its one criterion's row alone;
+discrepancy_report stacks the rows of every criterion at one (m, q) in one
+oracle pass, each row equal bit for bit to its sum alone.  On 6 criteria x
+9 (m, q) x 25 classes, with q from 1e-6 to 0.99 and sec(xi) up to 1e4, both
+stay within 1.5e-14*max(1, |lhs|) of a 40-digit sum, and within 1e-14 of
+each other on that scale.
 
 For the starlike-side criteria on Theta and its integral transform into the
 convex class (theta-in-s / integral-in-k), the raw coefficient sum is
@@ -64,6 +67,11 @@ class SpiralClassParams:
     @property
     def sec_xi(self) -> float:
         return 1.0 / math.cos(self.xi)
+
+    @property
+    def slope(self) -> float:
+        """A of weight_S(n) = A(n-1) + (1-gamma)."""
+        return (1.0 - self.rho) * self.sec_xi + self.rho * (1.0 - self.gamma)
 
 
 class CriterionId(enum.Enum):
@@ -117,11 +125,6 @@ def deficiency(f: PowerSeries, c: SpiralClassParams, family: str = "S") -> float
     return float(np.sum(w * np.abs(f.coeffs)) - (1.0 - c.gamma))
 
 
-def _slope(c: SpiralClassParams) -> float:
-    # weight_S(n) = A*(n-1) + (1-gamma) with A as below
-    return (1.0 - c.rho) * c.sec_xi + c.rho * (1.0 - c.gamma)
-
-
 def _rtau_prefactor(r: RTauParams) -> float:
     return 2.0 * abs(r.tau) * (1.0 - r.delta) / r.vartheta
 
@@ -132,7 +135,7 @@ def _spiral_sum_closed(p: PascalParams, c: SpiralClassParams) -> float:
         # (1-q)^(m+1) underflows at large m; raise as a float division does,
         # where numpy would return inf for a batch of classes
         raise ZeroDivisionError("float division by zero")
-    return _slope(c) * p.q * p.m / d
+    return c.slope * p.q * p.m / d
 
 
 def _convex_sum_printed(p: PascalParams, c: SpiralClassParams) -> float:
@@ -149,7 +152,7 @@ def _convex_sum_printed(p: PascalParams, c: SpiralClassParams) -> float:
 
 def _convex_sum_rederived(p: PascalParams, c: SpiralClassParams) -> float:
     # expansion n*weight_S(n) = A(n-1)(n-2) + (2A + 1-gamma)(n-1) + (1-gamma)
-    a = _slope(c)
+    a = c.slope
     g = c.gamma
     m, q = p.m, p.q
     t = (1.0 - q) ** m
@@ -164,7 +167,7 @@ def _braces_closed(p: PascalParams, c: SpiralClassParams) -> float:
     # sum of (1/n)*weight_S(n)*phi_n in closed form
     t = (1.0 - p.q) ** p.m
     g_inv = t * sum_Sinv(p)
-    return _slope(c) * (1.0 - t) + (1.0 - c.rho) * (
+    return c.slope * (1.0 - t) + (1.0 - c.rho) * (
         1.0 - c.gamma - c.sec_xi
     ) * g_inv
 
@@ -172,18 +175,17 @@ def _braces_closed(p: PascalParams, c: SpiralClassParams) -> float:
 def _m1_raw_closed(p: PascalParams, c: SpiralClassParams) -> float:
     # sum of weight_S(n)*phi_n in closed form (unnormalised)
     t = (1.0 - p.q) ** p.m
-    return _slope(c) * p.q * p.m / (1.0 - p.q) + (1.0 - c.gamma) * (1.0 - t)
+    return c.slope * p.q * p.m / (1.0 - p.q) + (1.0 - c.gamma) * (1.0 - t)
 
 
 def _columns(classes):
     """The parameters of a sequence of classes as (k, 1) columns under the
-    SpiralClassParams names, with the slope A of
-    weight_S(n) = A(n-1) + (1-gamma), so that weight_S(n, cols) holds one row
-    per class, each computed elementwise as weight_S(n, c)."""
-    cols = np.array([[c.rho, c.gamma, c.sec_xi] for c in classes]).reshape(-1, 3)
-    cols = SimpleNamespace(rho=cols[:, 0:1], gamma=cols[:, 1:2], sec_xi=cols[:, 2:3])
-    cols.slope = _slope(cols)
-    return cols
+    SpiralClassParams names, slope included, so that weight_S(n, cols) holds
+    one row per class, each computed elementwise as weight_S(n, c)."""
+    cols = np.array([[c.rho, c.gamma, c.sec_xi, c.slope] for c in classes]).reshape(-1, 4)
+    return SimpleNamespace(
+        rho=cols[:, 0:1], gamma=cols[:, 1:2], sec_xi=cols[:, 2:3], slope=cols[:, 3:4]
+    )
 
 
 def _lhs_closed(
@@ -207,20 +209,38 @@ def _lhs_closed(
     return np.ravel(lhs).tolist()
 
 
+# each criterion's direct weight from s = weight_S(n, rows): the convex side
+# takes n*weight_S(n), the convolutions the R^tau bound.  For the integral
+# transform the convex weight n*weight_S(n) meets coefficients phi_n/n; the
+# n*(1/n) cancellation is exact, so integral-in-k shares theta-in-s's weight,
+# the same function, and with it theta-in-s's rows
+_DIRECT_WEIGHTS = {
+    CriterionId.THETA_IN_S: lambda n, s, r: s,
+    CriterionId.THETA_IN_K: lambda n, s, r: n * s,
+    CriterionId.G_IN_S: lambda n, s, r: s / n,
+    CriterionId.LAMBDA_RTAU_IN_S: lambda n, s, r: s * rtau_bound(n, r),
+    CriterionId.LAMBDA_RTAU_IN_K: lambda n, s, r: n * s * rtau_bound(n, r),
+}
+_DIRECT_WEIGHTS[CriterionId.G_IN_K] = _DIRECT_WEIGHTS[CriterionId.THETA_IN_S]
+
+
 def _lhs_direct(
-    cid: CriterionId, p: PascalParams, c, r: RTauParams | None
-) -> list[float]:
-    """Direct lhs of c, one SpiralClassParams or the _columns of several
-    classes, one value per class, from one oracle pass.
+    cids: tuple[CriterionId, ...], p: PascalParams, c, r: RTauParams | None
+) -> list[list[float]]:
+    """Direct lhs of each criterion of cids for c, one SpiralClassParams or
+    the _columns of several classes: one value list per criterion, one value
+    per class, all from one oracle pass over the coefficients of p.
 
     One class is summed on its floats, one or two columns one row each.
-    More columns share one sum of two basis rows: every direct weight is
-    A*b0(n) + B*b1(n), with A = _slope(c) >= 0 and B = 1 - gamma in (0, 1],
-    so the classes enter only through A and B, and combining the rows
-    cancels nothing.  Row 0 is a*b0(n), with a the largest A: the
+    More columns share one sum of two basis rows per criterion: every direct
+    weight is A*b0(n) + B*b1(n), with A = c.slope >= 0 and B = 1 - gamma in
+    (0, 1], so the classes enter only through A and B, and combining the
+    rows cancels nothing.  Row 0 is a*b0(n), with a the largest A: the
     oracle's stop rule, absolute below 1, then bounds each class's share of
     the truncation error by what its own row's stop rule would allow, as
-    B <= 1 does for row 1."""
+    B <= 1 does for row 1.  Several criteria stack their rows, all built
+    from one weight_S per block; each row stops where, and equals bit for
+    bit what, it would alone."""
     batch = not isinstance(c, SpiralClassParams)
     rows = c
     if batch and len(c.gamma) > 2:
@@ -231,31 +251,34 @@ def _lhs_direct(
         rows = SimpleNamespace(
             rho=np.zeros((2, 1)), gamma=np.array([[1.0], [0.0]]), sec_xi=np.array([[a], [0.0]])
         )
-    if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
-        # for the integral transform the convex weight n*weight_S(n) meets
-        # coefficients phi_n/n; the n*(1/n) cancellation is exact, so both
-        # criteria share one sum
-        weight = lambda n: weight_S(n, rows)  # noqa: E731
-    elif cid is CriterionId.THETA_IN_K:
-        weight = lambda n: weight_K(n, rows)  # noqa: E731
-    elif cid is CriterionId.G_IN_S:
-        weight = lambda n: weight_S(n, rows) / n  # noqa: E731
-    elif cid is CriterionId.LAMBDA_RTAU_IN_S:
-        weight = lambda n: weight_S(n, rows) * rtau_bound(n, r)  # noqa: E731
-    elif cid is CriterionId.LAMBDA_RTAU_IN_K:
-        weight = lambda n: weight_K(n, rows) * rtau_bound(n, r)  # noqa: E731
+    summed = list(dict.fromkeys(_DIRECT_WEIGHTS[cid] for cid in cids))
+    k = len(rows.gamma) if batch else 1
+    if len(summed) == 1:
+        # no stacking: a stacked weight's numpy calls and loop per block
+        # would slow the one-criterion path of evaluate_criterion
+        weight = lambda n: summed[0](n, weight_S(n, rows), r)  # noqa: E731
     else:
-        raise ValueError(cid)
+        def weight(n):
+            s = weight_S(n, rows)
+            stacked = np.empty((len(summed) * k, len(n)))
+            for i, row in enumerate(summed):
+                stacked[i * k:(i + 1) * k] = row(n, s, r)
+            return stacked
     t = (1.0 - p.q) ** p.m
-    values = t * oracle_sum(weight, p)[0]
-    if rows is not c:
-        values = c.slope * (values[0] / a) + (1.0 - c.gamma) * values[1]
-    elif batch:
-        # the (k,) row sums as a column, the shape of c.gamma
-        values = values[:, None]
-    if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
-        values = (values - (1.0 - c.gamma) * (1.0 - t)) / t
-    return np.ravel(values).tolist()
+    sums = t * oracle_sum(weight, p)[0]
+    out = []
+    for cid in cids:
+        i = summed.index(_DIRECT_WEIGHTS[cid])
+        values = sums if len(summed) == 1 else sums[i * k:(i + 1) * k]
+        if rows is not c:
+            values = c.slope * (values[0] / a) + (1.0 - c.gamma) * values[1]
+        elif batch:
+            # the (k,) row sums as a column, the shape of c.gamma
+            values = values[:, None]
+        if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
+            values = (values - (1.0 - c.gamma) * (1.0 - t)) / t
+        out.append(np.ravel(values).tolist())
+    return out
 
 
 def evaluate_criterion(
@@ -275,7 +298,7 @@ def evaluate_criterion(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "direct":
-        lhs = _lhs_direct(cid, p, c, r)[0]
+        lhs = _lhs_direct((cid,), p, c, r)[0][0]
     else:
         lhs = _lhs_closed(cid, p, c, r, rederived=(variant == "rederived"))[0]
     rhs = 1.0 - c.gamma
@@ -336,14 +359,15 @@ def discrepancy_report(
     """Compare the printed closed form against the direct sum for every
     criterion over the grid; collect the rows where they disagree.
 
-    The classes' parameter columns are built once.  The closed forms of all
-    classes at one (criterion, m, q) come from one batch, each equal to its
-    evaluate_criterion lhs bit for bit.  The direct sums of up to two classes
-    are too; more classes share one sum of the criterion's two basis rows,
-    combined per class in the moment form of the module docstring, which
-    agrees with the one-row sums to 1e-14*max(1, |lhs|).  integral-in-k
-    takes theta-in-s's direct values at the same (m, q), which its own sum
-    equals by construction.
+    The classes' parameter columns are built once.  Every closed form runs
+    first, all classes at one (criterion, m, q) in one batch, each equal to
+    its evaluate_criterion lhs bit for bit.  Then one oracle pass per (m, q)
+    sums the direct rows of every criterion.  The direct values of up to two
+    classes equal their evaluate_criterion lhs bit for bit too; more classes
+    share two basis rows per criterion, combined per class in the moment
+    form of the module docstring, which agrees with the one-row sums to
+    1e-14*max(1, |lhs|).  integral-in-k takes theta-in-s's rows, which its
+    own sum equals by construction.
 
     The flag threshold is scaled by max(1, |direct|): at the large-lhs corner
     of the grid plain double rounding already exceeds 1e-6 absolute, so an
@@ -353,33 +377,35 @@ def discrepancy_report(
     if r is None:
         # as evaluate_criterion refuses it, here before any sum runs
         raise ValueError(f"{CriterionId.LAMBDA_RTAU_IN_S.value} requires R^tau parameters")
+    # the inner grids are walked once per outer value, so a one-shot
+    # iterable would lose points
+    m_grid, q_grid, xi_grid, gamma_grid, rho_grid = map(
+        tuple, (m_grid, q_grid, xi_grid, gamma_grid, rho_grid)
+    )
     classes = [
         SpiralClassParams(xi, gamma, rho)
         for xi in xi_grid for gamma in gamma_grid for rho in rho_grid
     ]
     cols = _columns(classes)
     points = [(m, q) for m in m_grid for q in q_grid]
-    batches, papers, directs, theta_directs = [], [], [], []
-    for cid in CriterionId:
-        rc = r if cid.needs_rtau else None
-        for j, (m, q) in enumerate(points):
-            p = PascalParams(m, q)
-            # as point by point, nothing runs over no classes
-            if not classes:
-                continue
-            # closed forms before direct sums, so that a closed-form error
-            # surfaces before a sum runs to its order cap.  An overflow gives
-            # a silent inf or nan, as on floats
-            with np.errstate(over="ignore", invalid="ignore"):
-                papers += _lhs_closed(cid, p, cols, rc, False)
-            if cid is CriterionId.G_IN_K:
-                direct = theta_directs[j]
-            else:
-                direct = _lhs_direct(cid, p, cols, rc)
-            if cid is CriterionId.THETA_IN_S:
-                theta_directs.append(direct)
-            directs += direct
-            batches.append((cid.value, m, q))
+    params = [PascalParams(m, q) for m, q in points]
+    batches = [(cid.value, m, q) for cid in CriterionId for m, q in points]
+    papers, directs = [], []
+    # as point by point, nothing runs over no classes
+    if classes:
+        # closed forms before direct sums, so that a closed-form error
+        # surfaces before a sum runs to its order cap.  An overflow gives
+        # a silent inf or nan, as on floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cid in CriterionId:
+                rc = r if cid.needs_rtau else None
+                for p in params:
+                    papers += _lhs_closed(cid, p, cols, rc, False)
+        by_point = [_lhs_direct(tuple(CriterionId), p, cols, r) for p in params]
+        # in the (criterion, m, q) order of papers
+        for i in range(len(CriterionId)):
+            for direct in by_point:
+                directs += direct[i]
     # the test of abs(paper - direct) > threshold*max(1, |direct|) on floats,
     # where nan and inf compare as they do there, and silently
     with np.errstate(all="ignore"):
@@ -387,12 +413,16 @@ def discrepancy_report(
         flags = diff > threshold * np.maximum(1.0, np.abs(directs))
     counts = {cid.value: 0 for cid in CriterionId}
     flagged = []
+    diffs = diff.tolist()
+    criterion_, m_, q_, xi_, gamma_, rho_, paper_, direct_, diff_ = DISCREPANCY_FIELDS
     for i in np.flatnonzero(flags).tolist():
-        (cid, m, q), c = batches[i // len(classes)], classes[i % len(classes)]
+        b, j = divmod(i, len(classes))
+        (cid, m, q), c = batches[b], classes[j]
         counts[cid] += 1
-        flagged.append(dict(zip(DISCREPANCY_FIELDS, (
-            cid, m, q, c.xi, c.gamma, c.rho, papers[i], directs[i], float(diff[i]),
-        ))))
+        flagged.append({
+            criterion_: cid, m_: m, q_: q, xi_: c.xi, gamma_: c.gamma, rho_: c.rho,
+            paper_: papers[i], direct_: directs[i], diff_: diffs[i],
+        })
     return {
         "threshold": threshold,
         "points_checked": len(papers),

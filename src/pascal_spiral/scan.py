@@ -174,6 +174,9 @@ def scan(
 ) -> list[ScanRow]:
     """Cartesian product sweep; rows are ordered lexicographically by grid
     indices and per-row failures are captured in the row, not raised."""
+    # the inner grids are walked once per outer value, and an empty
+    # generator is truthy, so each grid is read into a tuple first
+    m_grid, xi_grid, gamma_grid, rho_grid = map(tuple, (m_grid, xi_grid, gamma_grid, rho_grid))
     for name, grid in (
         ("m", m_grid), ("xi", xi_grid), ("gamma", gamma_grid), ("rho", rho_grid)
     ):

@@ -125,12 +125,15 @@ def oracle_sum(
         w_ext = w_ext.reshape(k, -1)
         wn, wnext = w_ext[:, :-1], w_ext[:, 1:]
         terms = wn * coeffs
-        prefix = total + np.cumsum(terms, axis=1)
+        # in place where a temporary would hold k rows: the same operations
+        prefix = np.cumsum(terms, axis=1)
+        prefix += total
         # a zero weight followed by a zero weight contributes nothing to
         # the tail ratio; a zero followed by a nonzero forces one more step
         wratio = np.where(wnext == 0.0, 1.0, np.inf)
         np.divide(wnext, wn, out=wratio, where=wn != 0.0)
-        rhat = ratios[:-1] * np.maximum(wratio, 1.0)
+        rhat = np.maximum(wratio, 1.0, out=wratio)
+        rhat *= ratios[:-1]
         done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(1.0, np.abs(prefix))
         if done.any():
             first = done.argmax(axis=1)

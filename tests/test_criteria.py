@@ -212,6 +212,22 @@ class TestDiscrepancyReport:
             assert counts[cid] == 0
         assert report["points_checked"] == 2 * 2 * 2 * 2 * 2 * 6
 
+    def test_one_shot_grids_give_the_tuple_report(self):
+        # the inner grids are walked once per outer value; with
+        # gamma_grid=iter((0.0, 0.5)) a report once checked 12 points, not 24
+        grids = dict(
+            m_grid=(1.0, 2.0), q_grid=(0.2, 0.5), xi_grid=(0.0, 0.3),
+            gamma_grid=(0.0, 0.5), rho_grid=(0.0, 0.3),
+        )
+        report = discrepancy_report(threshold=0.0, **grids)
+        assert report["points_checked"] == 6 * 2 ** 5
+        for name in grids:
+            one_shot = dict(grids, **{name: iter(grids[name])})
+            assert discrepancy_report(threshold=0.0, **one_shot) == report, name
+        assert discrepancy_report(
+            m_grid=(2.0,), q_grid=(0.3,), xi_grid=(0.0,), gamma_grid=iter((0.0, 0.5)), rho_grid=(0.0,)
+        )["points_checked"] == 6 * 2
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1e-6])
     def test_threshold_must_be_finite_and_nonnegative(self, threshold):
         # a nan threshold once flagged nothing and was echoed as NaN

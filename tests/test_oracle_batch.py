@@ -2,7 +2,9 @@
 pass, and each row must equal, bit for bit, the sum of that row alone.  A
 batch of more than two classes sums its criterion's two basis rows once and
 combines them per class; its values are checked bit for bit against that
-combination and, with the one-row values, against a 40-digit sum."""
+combination and, with the one-row values, against a 40-digit sum.  A report
+stacks every criterion's rows at one (m, q) in one sum, and each criterion's
+values must equal, bit for bit, those of its sum alone."""
 import itertools
 import math
 import random
@@ -111,13 +113,13 @@ def test_batch_rows_bit_equal_to_scalar_lhs(cid):
     for m, q in itertools.product(M_GRID, Q_GRID):
         p = PascalParams(m, q)
         for k in (1, 2):
-            batch = _lhs_direct(cid, p, _columns(classes[:k]), r)
+            batch = _lhs_direct((cid,), p, _columns(classes[:k]), r)[0]
             assert len(batch) == k
             for c, value in zip(classes, batch):
                 assert value == _scalar_lhs(cid, p, c, r), (cid, m, q, c)
                 lhs = evaluate_criterion(cid, p, c, r).lhs
                 assert type(lhs) is float and lhs == value
-        batch = _lhs_direct(cid, p, _columns(classes), r)
+        batch = _lhs_direct((cid,), p, _columns(classes), r)[0]
         assert len(batch) == len(classes)
         for c, value in zip(classes, batch):
             assert type(value) is float and value == _moment_lhs(cid, p, c, r, classes), (cid, m, q, c)
@@ -131,16 +133,21 @@ def test_one_class_stays_on_floats(monkeypatch):
 
     returned = []
 
-    def recorded(lhs):
+    def recorded(lhs, per_criterion):
         def wrapped(*args, **kwargs):
             values = lhs(*args, **kwargs)
-            returned.append(values)
+            if per_criterion:
+                # one criterion, one value list
+                assert len(values) == 1
+                returned.append(values[0])
+            else:
+                returned.append(values)
             return values
         return wrapped
 
     monkeypatch.setattr(criteria, "_columns", refused)
-    monkeypatch.setattr(criteria, "_lhs_direct", recorded(_lhs_direct))
-    monkeypatch.setattr(criteria, "_lhs_closed", recorded(_lhs_closed))
+    monkeypatch.setattr(criteria, "_lhs_direct", recorded(_lhs_direct, True))
+    monkeypatch.setattr(criteria, "_lhs_closed", recorded(_lhs_closed, False))
     c, p = SpiralClassParams(0.4, 0.3, 0.2), PascalParams(1.5, 0.3)
     for cid in CriterionId:
         r = RTAU if cid.needs_rtau else None
@@ -202,7 +209,7 @@ def test_direct_paths_agree_with_a_40_digit_sum():
             t = (1 - mpmath.mpf(q)) ** m
             for cid in CriterionId:
                 r = RTAU if cid.needs_rtau else None
-                batch = _lhs_direct(cid, p, _columns(classes), r)
+                batch = _lhs_direct((cid,), p, _columns(classes), r)[0]
                 for c, value in zip(classes, batch):
                     a = (1 - mpmath.mpf(c.rho)) * mpmath.sec(c.xi) + c.rho * (1 - mpmath.mpf(c.gamma))
                     b = 1 - mpmath.mpf(c.gamma)
@@ -215,28 +222,78 @@ def test_direct_paths_agree_with_a_40_digit_sum():
                     assert abs(scalar - ref) <= scale, (cid, m, q, c, scalar, ref)
 
 
-def test_report_sums_at_most_two_rows_per_call(monkeypatch):
-    rows, cids = [], []
+@pytest.mark.parametrize("xi_grid, gamma_grid, rho_grid, rows_per_criterion", [
+    ((0.0,), (0.25,), (0.3,), 1),
+    ((0.0, 0.5), (0.25,), (0.3,), 2),
+    ((0.0, 0.5, 1.0), (0.25,), (0.3,), 2),
+    (criteria.DEFAULT_XI_GRID, criteria.DEFAULT_GAMMA_GRID, criteria.DEFAULT_RHO_GRID, 2),
+], ids=["1-class", "2-classes", "3-classes", "36-classes"])
+def test_report_sums_every_criterion_once_per_point(
+    monkeypatch, xi_grid, gamma_grid, rho_grid, rows_per_criterion
+):
+    rows, calls = [], []
 
     def recorded(weight, p, *args, **kwargs):
         rows.append(len(np.atleast_2d(weight(np.array([2.0, 3.0])))))
         return oracle_sum(weight, p, *args, **kwargs)
 
-    def recorded_direct(cid, p, cs, r):
-        cids.append(cid)
-        return _lhs_direct(cid, p, cs, r)
+    def recorded_direct(cids, p, cs, r):
+        calls.append(cids)
+        return _lhs_direct(cids, p, cs, r)
 
     monkeypatch.setattr(criteria, "oracle_sum", recorded)
     monkeypatch.setattr(criteria, "_lhs_direct", recorded_direct)
-    report = discrepancy_report(m_grid=(1.5, 3.0), q_grid=(0.3, 0.9))
-    assert report["points_checked"] == 6 * 2 * 2 * 36
-    # one sum of at most two rows per (criterion, m, q), and integral-in-k
-    # takes theta-in-s's values
-    assert len(rows) == 5 * 2 * 2 and max(rows) == 2
-    assert CriterionId.G_IN_K not in cids and len(cids) == len(rows)
+    classes = dict(xi_grid=xi_grid, gamma_grid=gamma_grid, rho_grid=rho_grid)
+    report = discrepancy_report(m_grid=(1.5, 3.0), q_grid=(0.3, 0.9), **classes)
+    assert report["points_checked"] == 6 * 2 * 2 * len(xi_grid) * len(gamma_grid) * len(rho_grid)
+    # one sum per (m, q) over every criterion's rows: k rows per criterion
+    # for one or two classes, two basis rows for more, and none of
+    # integral-in-k's own, which takes theta-in-s's rows
+    assert calls == [tuple(CriterionId)] * (2 * 2)
+    assert rows == [5 * rows_per_criterion] * (2 * 2)
     rows.clear()
-    report = discrepancy_report(xi_grid=(), m_grid=(1.5, 3.0), q_grid=(0.3, 0.9))
-    assert report["points_checked"] == 0 and rows == []
+    calls.clear()
+    report = discrepancy_report(m_grid=(1.5, 3.0), q_grid=(0.3, 0.9), **dict(classes, xi_grid=()))
+    assert report["points_checked"] == 0 and rows == [] and calls == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_all_criteria_sum_equals_each_criterion_alone(k):
+    # every row of the stacked sum stops where, and equals what, it would
+    # alone; integral-in-k takes theta-in-s's rows
+    classes = _classes(k, seed=20 + k)
+    cids = tuple(CriterionId)
+    for m, q in itertools.product(M_GRID, Q_GRID):
+        p = PascalParams(m, q)
+        for c in [_columns(classes)] + ([classes[0]] if k == 1 else []):
+            together = _lhs_direct(cids, p, c, RTAU)
+            assert _lhs_direct(cids[::-1], p, c, RTAU) == together[::-1]
+            assert len(together) == len(cids)
+            for cid, values in zip(cids, together):
+                r = RTAU if cid.needs_rtau else None
+                assert all(type(value) is float for value in values)
+                assert values == _lhs_direct((cid,), p, c, r)[0], (cid, m, q, k)
+
+
+def test_every_closed_form_runs_before_the_first_direct_sum(monkeypatch):
+    events = []
+
+    def recorded_closed(cid, p, cs, r, rederived):
+        events.append(("closed", cid, p.m, p.q))
+        return _lhs_closed(cid, p, cs, r, rederived)
+
+    def recorded_direct(cids, p, cs, r):
+        events.append(("direct", cids, p.m, p.q))
+        return _lhs_direct(cids, p, cs, r)
+
+    monkeypatch.setattr(criteria, "_lhs_closed", recorded_closed)
+    monkeypatch.setattr(criteria, "_lhs_direct", recorded_direct)
+    m_grid, q_grid = (1.5, 3.0), (0.3, 0.9, 0.6)
+    discrepancy_report(m_grid=m_grid, q_grid=q_grid)
+    points = list(itertools.product(m_grid, q_grid))
+    closed = [("closed", cid, m, q) for cid in CriterionId for m, q in points]
+    direct = [("direct", tuple(CriterionId), m, q) for m, q in points]
+    assert events == closed + direct
 
 
 def test_batch_of_many_rows_equals_its_rows_alone():
@@ -291,7 +348,8 @@ def test_q_zero():
     values, order_sum = oracle_sum(_stack(np.ones_like, lambda n: n), p)
     assert values.tolist() == [0.0, 0.0] and order_sum == 4
     c = SpiralClassParams(0.3, 0.2, 0.1)
-    assert _lhs_direct(CriterionId.THETA_IN_K, p, _columns([c, c, c]), None) == [0.0] * 3
+    assert _lhs_direct((CriterionId.THETA_IN_K,), p, _columns([c, c, c]), None) == [[0.0] * 3]
+    assert _lhs_direct(tuple(CriterionId), p, _columns([c, c, c]), RTAU) == [[0.0] * 3] * 6
 
 
 def test_zero_weight_row():
@@ -386,7 +444,7 @@ def test_underflow_in_closed_batch_raises_float_division_error():
 def test_closed_batch_overflows_silently_as_floats_do(monkeypatch):
     # at m = 2000, q = 0.3 theta-in-s and integral-in-k overflow to inf;
     # on floats that is silent, and so it stays on the class batch
-    monkeypatch.setattr(criteria, "_lhs_direct", lambda cid, p, cs, r: [0.0] * len(cs.gamma))
+    monkeypatch.setattr(criteria, "_lhs_direct", lambda cids, p, cs, r: [[0.0] * len(cs.gamma)] * len(cids))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = discrepancy_report(threshold=0.0, m_grid=(2000.0,), q_grid=(0.3,))

@@ -205,6 +205,22 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(CriterionId.THETA_IN_S, "direct", (), (0.0,), (0.0,), (0.0,))
 
+    def test_one_shot_grids_give_the_tuple_rows(self):
+        # the inner grids are walked once per outer value; iterators once
+        # gave the rows of the first outer value only
+        grids = ((1.0, 2.0), (0.0, 0.5), (0.0, 0.5), (0.0, 0.3))
+        rows = scan(CriterionId.THETA_IN_S, "direct", *grids)
+        assert len(rows) == 16
+        assert scan(CriterionId.THETA_IN_S, "direct", *map(iter, grids)) == rows
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_empty_generator_grid_rejected(self, position):
+        # an empty generator is truthy, and once gave no rows and no error
+        grids = [(1.0,), (0.0,), (0.0,), (0.0,)]
+        grids[position] = (x for x in ())
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            scan(CriterionId.THETA_IN_S, "direct", *grids)
+
     def test_rtau_criteria_need_params(self):
         rows = scan(
             CriterionId.LAMBDA_RTAU_IN_S, "direct", (2.0,), (0.0,), (0.0,), (0.0,)
