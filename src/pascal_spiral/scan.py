@@ -88,10 +88,7 @@ def _margin(cid, variant, m, q, c, r) -> float:
         # the direct sum did not meet its tail bound by the order cap; -inf
         # is a convention for "unsatisfied", not a bound: at q = Q_MAX the
         # scaled partial sum is about (1e-9)^m times the raw one, tiny, and
-        # a bounded lhs can sit here too (ROADMAP item 2: enclosures).  The
-        # error is discarded unread, so a doomed sum (the direct margin at
-        # Q_MAX that critical_q takes first) never walks its coefficients to
-        # the cap
+        # a bounded lhs can sit here too (ROADMAP item 4: enclosures)
         return -math.inf
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,22 +17,12 @@ class SummationDivergenceError(RuntimeError):
     the order cap with its geometric tail bound still unmet.
 
     Carries the magnitude of the last computed term so callers can
-    distinguish a divergent sum from a slowly converging one.  last_term may
-    be given as a callable of no arguments (oracle_sum does so for a doomed
-    sum, whose last term needs a walk to the cap); it is called the first
-    time last_term or str() is read, and its float is kept.  A call that
-    raises keeps nothing, so the next read calls it again."""
+    distinguish a divergent sum from a slowly converging one."""
 
-    def __init__(self, last_term: float | Callable[[], float], order: int):
+    def __init__(self, last_term: float, order: int):
         super().__init__()
-        self._last_term = last_term
+        self.last_term = last_term
         self.order = order
-
-    @property
-    def last_term(self) -> float:
-        if callable(self._last_term):
-            self._last_term = self._last_term()
-        return self._last_term
 
     def __str__(self):
         return (

@@ -7,10 +7,8 @@ code applies that factor explicitly.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,33 +22,10 @@ from .series import (
 )
 
 
-def _weight_one(n):
-    return np.ones_like(n)
-
-
-def _weight_n_minus_1(n):
-    return n - 1.0
-
-
-def _weight_rising2(n):
-    return (n - 1.0) * (n - 2.0)
-
-
-def _weight_inv_n(n):
-    return 1.0 / n
-
-
-WEIGHTS: dict[str, Callable] = {
-    "one": _weight_one,
-    "n_minus_1": _weight_n_minus_1,
-    "rising2": _weight_rising2,
-    "inv_n": _weight_inv_n,
-}
-
-
 # a sum is doomed when the coefficient ratio at the cap clears 1 by more
 # than the few ulps that rounding q*(n+m-1)/n can move it at any order
 _DOOMED_RATIO = 1.0 + 8.0 * np.finfo(float).eps
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def oracle_sum(
@@ -61,12 +36,12 @@ def oracle_sum(
     """Brute-force sum of w(n) C(n+m-2, m-1) q^{n-1} from n = 2 up to an
     adaptively chosen order N.
 
-    weight is one of the WEIGHTS keys or a vectorised, elementwise callable
-    of at most polynomial growth.  A weight returning shape (len(n),) gives
-    (value, N).  One returning shape (k, len(n)) sums its k rows in one pass
-    over one shared coefficient sequence and gives (values, sum of the k
-    orders N): each row stops where it would alone, and equals bit for bit
-    the value of a weight returning that row only.
+    weight is a vectorised, elementwise callable of at most polynomial
+    growth.  A weight returning shape (len(n),) gives (value, N).  One
+    returning shape (k, len(n)), k >= 1, sums its k rows in one pass over one
+    shared coefficient sequence and gives (values, sum of the k orders N):
+    each row stops where it would alone, and equals bit for bit the value of
+    a weight returning that row only.
 
     The weight is called once per block of series.order_blocks (512 orders,
     doubling up to 16384) on its orders n0..hi, the first call telling k,
@@ -82,32 +57,23 @@ def oracle_sum(
     ratio >= 1 at n = cap (with a few ulps to spare) makes every ratio up to
     the cap >= 1; rhat, the ratio times max(1, w(n+1)/w(n)), is then >= 1
     too, the tail bound is inf at every order, and no row, whatever its
-    weight, can stop.  Such a sum evaluates its weight at orders cap and
-    cap + 1 only (a zero-row weight still gives (empty, 0)) and raises at
-    once.  Its error carries the coefficient walk to the cap, deferred: the
-    blocks are walked, under the numpy error state saved at the raise, the
-    first time last_term or str() is read (and again at the next read if
-    that walk raised), and give the same message, last_term and order as
-    the full walk.  A caller that discards the error
-    walks no block.  Only numpy's floating-point warnings and errors can
-    differ: the weighted terms and partial sums are never formed, and an
-    overflow of the coefficients warns (or, under np.errstate(over="raise")
-    or warnings as errors, raises) at the read, not at the call."""
-    w = WEIGHTS[weight] if isinstance(weight, str) else weight
+    weight, can stop.  Such a sum evaluates its weight at the cap only and
+    raises at once, with the last term |w(cap)| c_cap of its first row taken
+    from log-gamma (inf past the float range)."""
     m, q = p.m, p.q
     if q == 0.0:
-        shape = np.shape(w(np.empty(0)))
+        shape = np.shape(weight(np.empty(0)))
         k = 1 if len(shape) == 1 else shape[0]
         return _oracle_result([0.0] * k, [2] * k, len(shape) == 1)
     # (a cap below 2 has no block to walk, and raises below)
     if cap >= 2 and q * (cap + m - 1.0) / cap >= _DOOMED_RATIO:
-        w_end = np.asarray(w(np.array([cap, cap + 1.0])), dtype=float).reshape(-1, 2)
-        if not len(w_end):
-            return np.empty(0), 0
-        # row 0 is the first open row; c_cap is walked for only if read
-        raise SummationDivergenceError(
-            functools.partial(_doomed_last_term, m, q, cap, w_end[:1, 0], np.geterr()), cap
-        )
+        # row 0 is the first open row; on Python floats 0 * inf is nan
+        # without a numpy warning
+        w_cap = float(np.ravel(weight(np.array([float(cap)])))[0])
+        log_c = math.lgamma(cap + m - 1.0) - math.lgamma(m) - math.lgamma(cap)
+        log_c += (cap - 1.0) * math.log(q)
+        c_cap = math.exp(log_c) if log_c <= _LOG_FLOAT_MAX else math.inf
+        raise SummationDivergenceError(abs(w_cap) * c_cap, cap)
     blocks = coefficient_blocks(m, q, m * q, cap)
     k = 0  # number of rows, told by the first weight evaluation
     orders = [0]  # orders[i] stays 0 while row i is open
@@ -115,12 +81,10 @@ def oracle_sum(
     last_term = [m * q]
     for n0, n, ratios, coeffs in blocks:
         # weights are evaluated once on n0..hi and sliced into w(n), w(n+1)
-        w_ext = np.asarray(w(n), dtype=float)
+        w_ext = np.asarray(weight(n), dtype=float)
         if not k:
             scalar = w_ext.ndim == 1
             k = left = w_ext.reshape(-1, len(n)).shape[0]
-            if not k:
-                return np.empty(0), 0
             values, orders = [0.0] * k, [0] * k
         w_ext = w_ext.reshape(k, -1)
         wn, wnext = w_ext[:, :-1], w_ext[:, 1:]
@@ -147,19 +111,6 @@ def oracle_sum(
         total = prefix[:, -1:]
         last_term = np.abs(terms[:, -1])
     raise SummationDivergenceError(float(last_term[orders.index(0)]), cap)
-
-
-def _doomed_last_term(m, q, cap, w_cap, err) -> float:
-    """|w(cap) c_cap| of a doomed sum: its coefficient walked through every
-    block, under the numpy error state of the oracle_sum call that raised.
-    Each call walks from the first block, so a read that raises (an overflow
-    under over="raise" or warnings as errors) raises the same on the next."""
-    with np.errstate(**err):
-        # only the coefficient advances
-        for *_, coeffs in coefficient_blocks(m, q, m * q, cap):
-            pass
-        # the product as in terms
-        return float(np.abs(w_cap * coeffs[-1:])[0])
 
 
 def _oracle_result(values, orders, scalar):
@@ -201,7 +152,7 @@ def sum_Sinv(p: PascalParams) -> float:
     if p.m == 1.0:
         return (-math.log1p(-p.q) - p.q) / p.q
     if abs(p.m - 1.0) < _SINV_M1_WINDOW:
-        return oracle_sum("inv_n", p)[0]
+        return oracle_sum(_IDENTITY_WEIGHT["Sinv"], p)[0]
     t = (1.0 - p.q) ** p.m
     return ((1.0 - p.q) - t - p.q * (p.m - 1.0) * t) / (p.q * (p.m - 1.0) * t)
 
@@ -209,7 +160,12 @@ def sum_Sinv(p: PascalParams) -> float:
 IDENTITY_IDS = ("S0", "S1", "S2", "Sinv")
 
 _IDENTITY_CLOSED = {"S0": sum_S0, "S1": sum_S1, "S2": sum_S2, "Sinv": sum_Sinv}
-_IDENTITY_WEIGHT = {"S0": "one", "S1": "n_minus_1", "S2": "rising2", "Sinv": "inv_n"}
+_IDENTITY_WEIGHT = {
+    "S0": np.ones_like,
+    "S1": lambda n: n - 1.0,
+    "S2": lambda n: (n - 1.0) * (n - 2.0),
+    "Sinv": lambda n: 1.0 / n,
+}
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ def test_batch_of_many_rows_equals_its_rows_alone():
     # the rows n - 1 and 1/n at m = 2, q = 0.999 stop at orders 38,900 and
     # 32,253, in two different 16384-order blocks
     many = [lambda n, c=c: weight_K(n, c) * rtau_bound(n, RTAU) for c in _classes(40, seed=7)]
-    two = [summation.WEIGHTS["n_minus_1"], summation.WEIGHTS["inv_n"]]
+    two = [lambda n: n - 1.0, lambda n: 1.0 / n]
     for weights, m, q in ((many, 12.0, 0.3), (many, 12.0, 0.99), (two, 2.0, 0.999)):
         p = PascalParams(m, q)
         batch = _stack(*weights)
@@ -344,7 +344,7 @@ def test_order_sum_is_sum_of_row_orders():
 
 def test_q_zero():
     p = PascalParams(3.0, 0.0)
-    assert oracle_sum("one", p) == (0.0, 2)
+    assert oracle_sum(np.ones_like, p) == (0.0, 2)
     values, order_sum = oracle_sum(_stack(np.ones_like, lambda n: n), p)
     assert values.tolist() == [0.0, 0.0] and order_sum == 4
     c = SpiralClassParams(0.3, 0.2, 0.1)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pascal_spiral import (
@@ -59,11 +60,11 @@ class TestClosedForms:
 class TestOracle:
     def test_weight_one_matches_S0(self):
         p = PascalParams(2, 0.5)
-        value, _ = oracle_sum("one", p)
+        value, _ = oracle_sum(np.ones_like, p)
         assert abs(value - 3.0) < 1e-12
 
     def test_q_zero_short_circuit(self):
-        value, order = oracle_sum("n_minus_1", PascalParams(2, 0.0))
+        value, order = oracle_sum(lambda n: n - 1.0, PascalParams(2, 0.0))
         assert value == 0.0 and order == 2
 
     def test_custom_weight_n(self):
@@ -80,7 +81,7 @@ class TestOracle:
     def test_divergence_reports_last_term(self):
         p = PascalParams(1.0, 0.99)
         for hit_cap in (
-            lambda: oracle_sum("one", p, cap=100),
+            lambda: oracle_sum(np.ones_like, p, cap=100),
             lambda: adaptive_truncation_order(p, cap=100),
         ):
             with pytest.raises(SummationDivergenceError) as info:
@@ -90,7 +91,7 @@ class TestOracle:
 
     def test_deterministic_truncation_order(self):
         p = PascalParams(3, 0.6)
-        assert oracle_sum("inv_n", p) == oracle_sum("inv_n", p)
+        assert oracle_sum(lambda n: 1.0 / n, p) == oracle_sum(lambda n: 1.0 / n, p)
 
 
 class TestIdentityGrid:
