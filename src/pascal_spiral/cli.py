@@ -228,13 +228,6 @@ def _cmd_identities(args) -> int:
     )
 
 
-# the per-variant json object; disagreement is reported once per check
-_VERDICT_FIELDS = [
-    field.name for field in dataclasses.fields(criteria.Verdict)
-    if field.name != "disagreement"
-]
-
-
 def _cmd_check(args) -> int:
     cid, force_rho0 = _resolve_criterion(args.criterion)
     p = series.PascalParams(args.m, args.q)
@@ -245,13 +238,12 @@ def _cmd_check(args) -> int:
     )
     r = _rtau_from(args) if cid.needs_rtau else None
     if args.variant == "all":
-        verdicts = criteria.evaluate_all(cid, p, c, r)
+        verdicts, disagreement = criteria.evaluate_all(cid, p, c, r)
     else:
         verdicts = {args.variant: criteria.evaluate_criterion(cid, p, c, r, args.variant)}
+        disagreement = None
     decisive = verdicts.get("direct") or next(iter(verdicts.values()))
-    records = {
-        name: {f: getattr(v, f) for f in _VERDICT_FIELDS} for name, v in verdicts.items()
-    }
+    records = {name: dataclasses.asdict(v) for name, v in verdicts.items()}
     return _emit(
         args,
         {
@@ -267,7 +259,7 @@ def _cmd_check(args) -> int:
                 ),
             },
             "verdicts": records,
-            "disagreement": decisive.disagreement,
+            "disagreement": disagreement,
         },
         ("variant", "lhs", "rhs", "margin", "satisfied"),
         records.values(),

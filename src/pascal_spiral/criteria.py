@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,7 +100,6 @@ class Verdict:
     margin: float
     satisfied: bool
     variant: str
-    disagreement: float | None = None
 
 
 def weight_S(n, c: SpiralClassParams):
@@ -290,11 +290,8 @@ def evaluate_criterion(
 ) -> Verdict:
     """Evaluate one criterion in one variant.  r is required exactly for the
     convolution criteria (lambda-in-s / lambda-in-k) and ignored otherwise."""
-    if cid.needs_rtau:
-        if r is None:
-            raise ValueError(f"{cid.value} requires R^tau parameters")
-    else:
-        r = None
+    if cid.needs_rtau and r is None:
+        raise ValueError(f"{cid.value} requires R^tau parameters")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "direct":
@@ -311,12 +308,11 @@ def evaluate_all(
     p: PascalParams,
     c: SpiralClassParams,
     r: RTauParams | None = None,
-) -> dict[str, Verdict]:
-    """All three variants, with the max pairwise lhs disagreement attached."""
+) -> tuple[dict[str, Verdict], float]:
+    """All three variants, and the largest pairwise difference of their lhs."""
     verdicts = {v: evaluate_criterion(cid, p, c, r, v) for v in VARIANTS}
     values = [verdicts[v].lhs for v in VARIANTS]
-    spread = max(abs(a - b) for a in values for b in values)
-    return {v: replace(verdicts[v], disagreement=spread) for v in VARIANTS}
+    return verdicts, max(abs(a - b) for a in values for b in values)
 
 
 def corollary(
@@ -377,17 +373,12 @@ def discrepancy_report(
     if r is None:
         # as evaluate_criterion refuses it, here before any sum runs
         raise ValueError(f"{CriterionId.LAMBDA_RTAU_IN_S.value} requires R^tau parameters")
-    # the inner grids are walked once per outer value, so a one-shot
-    # iterable would lose points
-    m_grid, q_grid, xi_grid, gamma_grid, rho_grid = map(
-        tuple, (m_grid, q_grid, xi_grid, gamma_grid, rho_grid)
-    )
     classes = [
         SpiralClassParams(xi, gamma, rho)
-        for xi in xi_grid for gamma in gamma_grid for rho in rho_grid
+        for xi, gamma, rho in product(xi_grid, gamma_grid, rho_grid)
     ]
     cols = _columns(classes)
-    points = [(m, q) for m in m_grid for q in q_grid]
+    points = list(product(m_grid, q_grid))
     params = [PascalParams(m, q) for m, q in points]
     batches = [(cid.value, m, q) for cid in CriterionId for m, q in points]
     papers, directs = [], []
@@ -398,9 +389,8 @@ def discrepancy_report(
         # a silent inf or nan, as on floats
         with np.errstate(over="ignore", invalid="ignore"):
             for cid in CriterionId:
-                rc = r if cid.needs_rtau else None
                 for p in params:
-                    papers += _lhs_closed(cid, p, cols, rc, False)
+                    papers += _lhs_closed(cid, p, cols, r, False)
         by_point = [_lhs_direct(tuple(CriterionId), p, cols, r) for p in params]
         # in the (criterion, m, q) order of papers
         for i in range(len(CriterionId)):

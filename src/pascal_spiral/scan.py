@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import product
 
 from .criteria import CriterionId, SpiralClassParams, evaluate_criterion
 from .series import PascalParams, RTauParams
@@ -171,8 +172,7 @@ def scan(
 ) -> list[ScanRow]:
     """Cartesian product sweep; rows are ordered lexicographically by grid
     indices and per-row failures are captured in the row, not raised."""
-    # the inner grids are walked once per outer value, and an empty
-    # generator is truthy, so each grid is read into a tuple first
+    # an empty generator is truthy, so each grid is read into a tuple first
     m_grid, xi_grid, gamma_grid, rho_grid = map(tuple, (m_grid, xi_grid, gamma_grid, rho_grid))
     for name, grid in (
         ("m", m_grid), ("xi", xi_grid), ("gamma", gamma_grid), ("rho", rho_grid)
@@ -180,18 +180,13 @@ def scan(
         if not grid:
             raise ValueError(f"{name} grid must be nonempty")
     rows = []
-    for m in m_grid:
-        for xi in xi_grid:
-            for gamma in gamma_grid:
-                for rho in rho_grid:
-                    c = SpiralClassParams(xi=xi, gamma=gamma, rho=rho)
-                    try:
-                        res, error = critical_q(cid, variant, m, c, r), ""
-                    # per-row capture of the errors cli.main reports; the
-                    # scan continues, and any other exception is a bug
-                    except (ValueError, ArithmeticError, RuntimeError) as exc:
-                        res, error = CriticalQ(0.0, 0, 0.0), str(exc)
-                    rows.append(ScanRow(
-                        cid.value, variant, m, xi, gamma, rho, **asdict(res), error=error
-                    ))
+    for m, xi, gamma, rho in product(m_grid, xi_grid, gamma_grid, rho_grid):
+        c = SpiralClassParams(xi=xi, gamma=gamma, rho=rho)
+        try:
+            res, error = critical_q(cid, variant, m, c, r), ""
+        # per-row capture of the errors cli.main reports; the scan
+        # continues, and any other exception is a bug
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            res, error = CriticalQ(0.0, 0, 0.0), str(exc)
+        rows.append(ScanRow(cid.value, variant, m, xi, gamma, rho, **asdict(res), error=error))
     return rows

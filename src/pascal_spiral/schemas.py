@@ -29,13 +29,13 @@ def _record(properties: dict) -> dict:
     }
 
 
-def _fields(cls, *exclude) -> dict:
+def _fields(cls) -> dict:
     """The properties of a dataclass's fields, in declaration order and typed
     by their annotations; an annotation with no JSON type raises KeyError."""
     hints = typing.get_type_hints(cls)
     return {
         field.name: {"type": _JSON_TYPES[hints[field.name]]}
-        for field in dataclasses.fields(cls) if field.name not in exclude
+        for field in dataclasses.fields(cls)
     }
 
 
@@ -67,8 +67,7 @@ IDENTITIES_SCHEMA = _payload("identities", {
     )},
 })
 
-# disagreement is reported once per check, not per verdict
-_VERDICT = _record({**_fields(Verdict, "disagreement"), "variant": {"enum": list(VARIANTS)}})
+_VERDICT = _record({**_fields(Verdict), "variant": {"enum": list(VARIANTS)}})
 
 CHECK_SCHEMA = _payload("check", {
     "criterion": _STRING,

@@ -20,18 +20,12 @@ class SummationDivergenceError(RuntimeError):
     distinguish a divergent sum from a slowly converging one."""
 
     def __init__(self, last_term: float, order: int):
-        super().__init__()
+        super().__init__(
+            f"summation did not converge within {order} terms "
+            f"(last term magnitude {last_term:.3e})"
+        )
         self.last_term = last_term
         self.order = order
-
-    def __str__(self):
-        return (
-            f"summation did not converge within {self.order} terms "
-            f"(last term magnitude {self.last_term:.3e})"
-        )
-
-    def __repr__(self):
-        return f"{type(self).__name__}({str(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -268,38 +262,28 @@ def extremal_rtau_series(r: RTauParams, order: int) -> PowerSeries:
     return PowerSeries(rtau_bound(np.arange(2.0, order + 1.0), r))
 
 
-def _check_disk(z) -> None:
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("evaluation requires |z| < 1")
-
-
-def _as_points(z):
+def _horner(coeffs, z):
+    """The polynomial with coefficients coeffs (constant term first) at z,
+    |z| < 1, by Horner's rule; z may be a scalar or an array."""
     zarr = np.asarray(z, dtype=complex)
-    _check_disk(zarr)
-    return zarr, np.ndim(z) == 0
+    if np.any(np.abs(zarr) >= 1.0):
+        raise ValueError("evaluation requires |z| < 1")
+    out = np.polyval(coeffs[::-1], zarr)
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 def evaluate(f: PowerSeries, z):
     """f(z) for |z| < 1 by Horner's rule; z may be a scalar or an array."""
-    zarr, scalar = _as_points(z)
-    full = np.concatenate(([0.0, 1.0], f.coeffs))
-    out = np.polyval(full[::-1], zarr)
-    return complex(out) if scalar else out
+    return _horner(np.concatenate(([0.0, 1.0], f.coeffs)), z)
 
 
 def evaluate_d1(f: PowerSeries, z):
     """f'(z) for |z| < 1."""
-    zarr, scalar = _as_points(z)
     n = np.arange(2.0, f.order + 1.0)
-    full = np.concatenate(([1.0], n * f.coeffs))
-    out = np.polyval(full[::-1], zarr)
-    return complex(out) if scalar else out
+    return _horner(np.concatenate(([1.0], n * f.coeffs)), z)
 
 
 def evaluate_d2(f: PowerSeries, z):
     """f''(z) for |z| < 1."""
-    zarr, scalar = _as_points(z)
     n = np.arange(2.0, f.order + 1.0)
-    full = n * (n - 1.0) * f.coeffs
-    out = np.polyval(full[::-1], zarr)
-    return complex(out) if scalar else out
+    return _horner(n * (n - 1.0) * f.coeffs, z)

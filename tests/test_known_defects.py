@@ -3,11 +3,13 @@
 Every test is a strict xfail that names the exception it raises today, so a
 different failure still shows, and a fix makes the suite fail until its
 marker is removed (xfail_strict in pyproject.toml)."""
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pascal_spiral import cli
 from pascal_spiral.criteria import CriterionId, SpiralClassParams, evaluate_criterion
 from pascal_spiral.disk import DiskReport, default_grid, verify_on_disk
 from pascal_spiral.scan import BOUNDARY_ALL_Q, critical_q
@@ -119,3 +121,20 @@ def test_direct_lhs_below_one_is_accurate_relative_to_itself():
     lhs = evaluate_criterion(CriterionId.THETA_IN_K, PascalParams(12.0, 1e-6), FLAT).lhs
     want = (1.0 - 1e-6) ** 12 * _ten_terms(12.0, 1e-6, lambda n: n * n)
     assert math.isclose(lhs, want, rel_tol=1e-13)
+
+
+@pytest.mark.xfail(
+    raises=ValueError,
+    reason="check --format json writes what json.dumps gives: at m = 2000, "
+    "q = 0.3 every lhs is Infinity and every margin -Infinity, and --variant all "
+    "adds disagreement NaN, none of which RFC 8259 JSON can carry",
+)
+def test_check_json_output_is_strict_json(capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not a JSON value")
+
+    for variant in ("paper", "all"):
+        argv = ["check", "thm1", "--m", "2000", "--q", "0.3", "--variant", variant]
+        with np.errstate(all="ignore"):
+            cli.main(argv + ["--format", "json"])
+        json.loads(capsys.readouterr().out, parse_constant=refuse)

@@ -17,7 +17,6 @@ import jsonschema
 import pytest
 
 from pascal_spiral import schemas
-from pascal_spiral.criteria import Verdict
 from pascal_spiral.scan import ScanRow
 from pascal_spiral.schemas import SCHEMAS
 
@@ -42,12 +41,15 @@ def test_scan_row_requires_boundary_and_error(field):
 
 
 def test_a_field_without_a_json_type_raises():
-    # Verdict.disagreement (float | None) maps to no JSON type: the check
-    # schema excludes it by name, and a record that does not must fail
-    # rather than lose the property
+    # float | None maps to no JSON type: a record holding such a field must
+    # fail rather than lose the property
+    @dataclasses.dataclass
+    class Record:
+        lhs: float
+        spread: float | None
+
     with pytest.raises(KeyError):
-        schemas._fields(Verdict)
-    assert "disagreement" not in schemas._fields(Verdict, "disagreement")
+        schemas._fields(Record)
 
 
 if __name__ == "__main__":

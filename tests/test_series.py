@@ -215,19 +215,20 @@ class TestEvaluate:
         f = PowerSeries([0.25])
         assert evaluate(f, 0.5) == 0.5625
 
-    def test_rejects_boundary(self):
+    @pytest.mark.parametrize("ev", [evaluate, evaluate_d1, evaluate_d2])
+    def test_rejects_boundary(self, ev):
         f = PowerSeries([0.25])
-        with pytest.raises(ValueError):
-            evaluate(f, 1.0)
-        with pytest.raises(ValueError):
-            evaluate_d1(f, 1.0 + 0.1j)
+        for z in (1.0, 1.0 + 0.1j, -1j, np.array([0.1, 0.5j, -0.6 + 0.8j])):
+            with pytest.raises(ValueError, match=r"requires \|z\| < 1"):
+                ev(f, z)
 
-    def test_vectorised_matches_scalar(self):
+    @pytest.mark.parametrize("ev", [evaluate, evaluate_d1, evaluate_d2])
+    def test_vectorised_matches_scalar(self, ev):
         f = theta_series(PascalParams(2, 0.4), 30)
         zs = np.array([0.1, 0.2 + 0.3j, -0.5j])
-        vec = evaluate(f, zs)
+        vec = ev(f, zs)
         for z, v in zip(zs, vec):
-            assert v == evaluate(f, complex(z))
+            assert v == ev(f, complex(z))
 
     def test_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(7)

@@ -86,8 +86,11 @@ class TestOracle:
         ):
             with pytest.raises(SummationDivergenceError) as info:
                 hit_cap()
-            assert info.value.last_term > 0
-            assert info.value.order == 100
+            err = info.value
+            assert err.last_term > 0
+            assert err.order == 100
+            assert repr(err) == f"SummationDivergenceError({str(err)!r})"
+            assert err.args == (str(err),)
 
     def test_deterministic_truncation_order(self):
         p = PascalParams(3, 0.6)
