@@ -22,14 +22,23 @@ interior or absent up to Q_MAX.  critical_q brackets it by halving 1-q and
 finds it by ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM
 TOMS 47(1), 2020): a regula falsi step, pulled toward the midpoint and kept
 within bisection's worst-case step count.  It needs no derivative, keeps
-bisection's guarantee, and converges superlinearly on the smooth margins."""
+bisection's guarantee, and converges superlinearly on the smooth margins.
+
+A direct root first tries the root of the rederived closed margin, which
+equals the direct margin in exact arithmetic for theta-in-s, theta-in-k,
+integral-in-s, integral-in-k, and the lambda criteria at vartheta = 1.  The
+closed root is found by the same search, to a bracket below _Q_TOL; its
+evaluations are not margin evaluations of the variant.  After the direct
+margin at Q_MAX, the direct margin at the closed root usually meets the
+stop rule, and that root is returned with iterations == 0.  Otherwise that
+margin, if finite, ends the bracket on its side, and the search goes on."""
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
 from itertools import product
 
-from .criteria import CriterionId, SpiralClassParams, evaluate_criterion
+from .criteria import CriterionId, SpiralClassParams, _lhs_closed, evaluate_criterion
 from .series import PascalParams, RTauParams
 from .summation import SummationDivergenceError
 
@@ -100,33 +109,78 @@ def critical_q(
     c: SpiralClassParams,
     r: RTauParams | None = None,
 ) -> CriticalQ:
-    """The q at which the criterion margin crosses zero.
+    """The q at which the criterion margin crosses zero, found by _search;
+    the direct variant starts from _closed_root where it has one."""
+    rhs = 1.0 - c.gamma
+    return _search(
+        lambda q: _margin(cid, variant, m, q, c, r),
+        rhs,
+        MARGIN_TOL * rhs,
+        f"margin of {cid.value} not decreasing in q (variant={variant})",
+        lambda: _closed_root(cid, variant, m, c, r),
+    )
 
-    The margin at Q_MAX decides the all-q boundary.  Otherwise the bracket
-    starts at (0, 1-gamma), exact since the lhs at q = 0 is 0, and its upper
-    end halves 1-q: q = 1 - 2^-k for k = 1, 2, ..., with the Q_MAX value in
-    place of any q past Q_MAX, up to the first margin that is <= 0 (or
-    NaN).  A probe whose margin rises above the one before it by more than
-    _MONOTONE_SLACK raises NonMonotoneMarginError.  iterations counts the
-    ITP steps, one margin evaluation each, after the probes."""
+
+def _closed_root(cid, variant, m, c, r) -> float | None:
+    """For the direct variant, the root of the rederived closed margin,
+    which equals the direct one in exact arithmetic for every criterion but
+    the lambda ones at vartheta != 1 (criteria's module docstring); else
+    None.  It is solved to a bracket below _Q_TOL, not to MARGIN_TOL, so
+    that it sits on the direct root to rounding.  None too where the closed
+    margin stays positive up to Q_MAX or its search fails: the direct
+    search then runs cold."""
+    if variant != "direct" or (cid.needs_rtau and r.vartheta != 1.0):
+        return None
+    rhs = 1.0 - c.gamma
+
     def margin(q):
-        return _margin(cid, variant, m, q, c, r)
+        return rhs - _lhs_closed(cid, PascalParams(m, q), c, r, True)[0]
 
+    try:
+        res = _search(margin, rhs, 0.0, "closed margin not decreasing in q")
+    except (ArithmeticError, SummationDivergenceError, NonMonotoneMarginError):
+        return None
+    return None if res.boundary else res.q_star
+
+
+def _search(margin, rhs: float, tol: float, rising: str, hint=None) -> CriticalQ:
+    """The zero of margin(q), decreasing from rhs = margin(0) > 0, to
+    |margin| <= tol or a bracket below _Q_TOL.
+
+    The margin at Q_MAX decides the all-q boundary.  Then hint(), if given,
+    may name a start q_h: a margin there of at most tol in size makes q_h
+    the root, after no ITP step, and any other finite margin makes q_h the
+    end of the bracket on its side.  The bracket's upper end halves 1-q:
+    q = 1 - 2^-k for k = 1, 2, ... above the low end, with the upper end's
+    value in place of any q past it, up to the first margin that is <= 0
+    (or NaN).  A probe whose margin rises above the one before it by more
+    than _MONOTONE_SLACK raises NonMonotoneMarginError(rising).  iterations
+    counts the ITP steps, one margin evaluation each, after the probes."""
     f_top = margin(Q_MAX)
     if f_top > 0.0:
         return CriticalQ(Q_MAX, 0, f_top, BOUNDARY_ALL_Q)
-    rhs = 1.0 - c.gamma
-    lo, f_lo, gap = 0.0, rhs, 0.5
+    lo, f_lo, hi, f_hi = 0.0, rhs, Q_MAX, f_top
+    q_h = hint() if hint else None
+    if q_h is not None:
+        f_h = margin(q_h)
+        if abs(f_h) <= tol:
+            return CriticalQ(q_h, 0, f_h)
+        if math.isfinite(f_h):  # the -inf of a diverged sum says nothing
+            if f_h > 0.0:
+                lo, f_lo = q_h, f_h
+            else:
+                hi, f_hi = q_h, f_h
+    gap = 0.5
+    while 1.0 - gap <= lo:
+        gap *= 0.5
     while True:
-        hi = min(1.0 - gap, Q_MAX)
-        f_hi = f_top if hi == Q_MAX else margin(hi)
-        if f_hi > f_lo + _MONOTONE_SLACK:
-            raise NonMonotoneMarginError(
-                f"margin of {cid.value} not decreasing in q (variant={variant})"
-            )
-        if not f_hi > 0.0:  # a NaN margin closes the bracket too
-            return _itp(margin, lo, hi, f_lo, f_hi, MARGIN_TOL * rhs)
-        lo, f_lo, gap = hi, f_hi, 0.5 * gap
+        q = min(1.0 - gap, hi)
+        f = f_hi if q == hi else margin(q)
+        if f > f_lo + _MONOTONE_SLACK:
+            raise NonMonotoneMarginError(rising)
+        if not f > 0.0:  # a NaN margin closes the bracket too
+            return _itp(margin, lo, q, f_lo, f, tol)
+        lo, f_lo, gap = q, f, 0.5 * gap
 
 
 def _itp(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> CriticalQ:

@@ -79,37 +79,42 @@ def oracle_sum(
     orders = [0]  # orders[i] stays 0 while row i is open
     total = 0.0
     last_term = [m * q]
-    for n0, n, ratios, coeffs in blocks:
-        # weights are evaluated once on n0..hi and sliced into w(n), w(n+1)
-        w_ext = np.asarray(weight(n), dtype=float)
-        if not k:
-            scalar = w_ext.ndim == 1
-            k = left = w_ext.reshape(-1, len(n)).shape[0]
-            values, orders = [0.0] * k, [0] * k
-        w_ext = w_ext.reshape(k, -1)
-        wn, wnext = w_ext[:, :-1], w_ext[:, 1:]
-        terms = wn * coeffs
-        # in place where a temporary would hold k rows: the same operations
-        prefix = np.cumsum(terms, axis=1)
-        prefix += total
-        # a zero weight followed by a zero weight contributes nothing to
-        # the tail ratio; a zero followed by a nonzero forces one more step
-        wratio = np.where(wnext == 0.0, 1.0, np.inf)
-        np.divide(wnext, wn, out=wratio, where=wn != 0.0)
-        rhat = np.maximum(wratio, 1.0, out=wratio)
-        rhat *= ratios[:-1]
-        done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(1.0, np.abs(prefix))
-        if done.any():
-            first = done.argmax(axis=1)
-            for i in range(k):
-                j = first[i]
-                if not orders[i] and done[i, j]:
-                    values[i], orders[i] = prefix[i, j], n0 + int(j)
-                    left -= 1
-            if not left:
-                return _oracle_result(values, orders, scalar)
-        total = prefix[:, -1:]
-        last_term = np.abs(terms[:, -1])
+    # raw coefficients and their terms overflow to inf at large m; such a
+    # row's tail bound is inf, it cannot stop, and it raises at the cap
+    with np.errstate(over="ignore"):
+        for n0, n, ratios, coeffs in blocks:
+            # weights are evaluated once on n0..hi and sliced into w(n), w(n+1)
+            w_ext = np.asarray(weight(n), dtype=float)
+            if not k:
+                scalar = w_ext.ndim == 1
+                k = left = w_ext.reshape(-1, len(n)).shape[0]
+                values, orders = [0.0] * k, [0] * k
+            w_ext = w_ext.reshape(k, -1)
+            wn, wnext = w_ext[:, :-1], w_ext[:, 1:]
+            terms = wn * coeffs
+            # in place where a temporary would hold k rows: the same operations
+            prefix = np.cumsum(terms, axis=1)
+            prefix += total
+            # a zero weight followed by a zero weight contributes nothing to
+            # the tail ratio; a zero followed by a nonzero forces one more step
+            wratio = np.where(wnext == 0.0, 1.0, np.inf)
+            np.divide(wnext, wn, out=wratio, where=wn != 0.0)
+            rhat = np.maximum(wratio, 1.0, out=wratio)
+            rhat *= ratios[:-1]
+            done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(
+                1.0, np.abs(prefix)
+            )
+            if done.any():
+                first = done.argmax(axis=1)
+                for i in range(k):
+                    j = first[i]
+                    if not orders[i] and done[i, j]:
+                        values[i], orders[i] = prefix[i, j], n0 + int(j)
+                        left -= 1
+                if not left:
+                    return _oracle_result(values, orders, scalar)
+            total = prefix[:, -1:]
+            last_term = np.abs(terms[:, -1])
     raise SummationDivergenceError(float(last_term[orders.index(0)]), cap)
 
 
@@ -136,7 +141,7 @@ def sum_S2(p: PascalParams) -> float:
 
 
 # Below this distance from m = 1 the closed form for sum_Sinv divides by a
-# catastrophically small (m-1); fall back to the oracle there.
+# catastrophically small (m-1); its expm1 form is used there instead.
 _SINV_M1_WINDOW = 1e-4
 
 
@@ -145,14 +150,18 @@ def sum_Sinv(p: PascalParams) -> float:
 
     For m > 1:
         [(1-q) - (1-q)^m - q(m-1)(1-q)^m] / (q(m-1)(1-q)^m).
-    At m = 1 the analytic limit is (-ln(1-q) - q)/q; for 0 < |m-1| < 1e-4
-    the oracle is used instead of the ill-conditioned closed form."""
+    At m = 1 the analytic limit is (-ln(1-q) - q)/q.  For 0 < |m-1| < 1e-4,
+    where the form above cancels, the same sum is (L expm1(y)/y - q)/q with
+    L = -ln(1-q) and y = (m-1)L, since (1-q)^(1-m) = e^y."""
     if p.q == 0.0:
         return 0.0
     if p.m == 1.0:
         return (-math.log1p(-p.q) - p.q) / p.q
     if abs(p.m - 1.0) < _SINV_M1_WINDOW:
-        return oracle_sum(_IDENTITY_WEIGHT["Sinv"], p)[0]
+        L = -math.log1p(-p.q)
+        y = (p.m - 1.0) * L
+        # y rounds to 0 only below q ~ 1e-308, where expm1(y)/y is 1
+        return (L * (math.expm1(y) / y if y else 1.0) - p.q) / p.q
     t = (1.0 - p.q) ** p.m
     return ((1.0 - p.q) - t - p.q * (p.m - 1.0) * t) / (p.q * (p.m - 1.0) * t)
 

@@ -71,6 +71,13 @@ class TestExitCodes:
         r = run_cli(*args)
         assert (r.returncode, r.stdout, r.stderr) == (1, "", f"error: {reason}\n")
 
+    def test_overflowing_direct_sum_writes_nothing_to_stderr(self):
+        # the raw coefficients at m = 2000 overflow to inf inside oracle_sum,
+        # which once let numpy print four overflow warnings
+        r = run_cli("check", "thm1", "--m", "2000", "--q", "0.3", "--variant", "all")
+        assert r.returncode == 2
+        assert r.stderr == ""
+
     def test_unknown_criterion_exits_one(self):
         r = run_cli("check", "thm9")
         assert r.returncode == 1

@@ -1,4 +1,6 @@
-"""critical_q's halving bracket and ITP search, against plain bisection."""
+"""critical_q's halving bracket and ITP search, against plain bisection,
+and its start at the closed-form root."""
+import cmath
 import importlib
 import itertools
 import math
@@ -6,7 +8,14 @@ import random
 
 import pytest
 
-from pascal_spiral import CriterionId, RTauParams, SpiralClassParams, critical_q
+from pascal_spiral import (
+    CriterionId,
+    PascalParams,
+    RTauParams,
+    SpiralClassParams,
+    critical_q,
+    evaluate_criterion,
+)
 
 scan_module = importlib.import_module("pascal_spiral.scan")
 Q_MAX = scan_module.Q_MAX
@@ -47,6 +56,13 @@ class _Counted:
     def __call__(self, cid, variant, m, q, c, r):
         self.qs.append(q)
         return self.margin(cid, variant, m, q, c, r)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """critical_q without the closed-form start: every direct search runs
+    from the halving probes, as the other variants' searches do."""
+    monkeypatch.setattr(scan_module, "_closed_root", lambda *args: None)
 
 
 def _probe_bracket(margin):
@@ -102,7 +118,7 @@ def test_no_more_evaluations_than_bisection_and_the_same_crossing(monkeypatch):
     assert roots >= 60
 
 
-def test_iterations_count_the_steps_after_the_probes(monkeypatch):
+def test_iterations_count_the_steps_after_the_probes(monkeypatch, cold):
     counted = _Counted(monkeypatch)
     res = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, SpiralClassParams(0.4, 0.25, 0.3))
     assert 0.0 < res.q_star < PROBES[0]
@@ -111,7 +127,7 @@ def test_iterations_count_the_steps_after_the_probes(monkeypatch):
     assert counted.qs[-1] == res.q_star
 
 
-def test_root_next_to_the_inf_end(monkeypatch):
+def test_root_next_to_the_inf_end(monkeypatch, cold):
     # the direct sum diverges at the probe 1 - 2^-12, so the bracket's upper
     # end is the -inf convention, and the first step is a midpoint step
     counted = _Counted(monkeypatch)
@@ -127,7 +143,7 @@ def test_root_next_to_the_inf_end(monkeypatch):
     assert 0.0 < below < 1e-6 and -1e-6 < above < 0.0
 
 
-def test_root_below_the_first_probe(monkeypatch):
+def test_root_below_the_first_probe(monkeypatch, cold):
     # the margin at q = 1/2 is already <= 0: the bracket is (0, 1/2), and its
     # low end takes 1 - gamma without an evaluation
     counted = _Counted(monkeypatch)
@@ -139,8 +155,126 @@ def test_root_below_the_first_probe(monkeypatch):
     assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma)
 
 
-def test_a_margin_rising_between_probes_is_refused(monkeypatch):
+def test_a_margin_rising_between_probes_is_refused(monkeypatch, cold):
     margins = {Q_MAX: -1.0, PROBES[0]: 0.5, PROBES[1]: 0.6}
     monkeypatch.setattr(scan_module, "_margin", lambda cid, variant, m, q, c, r: margins[q])
     with pytest.raises(scan_module.NonMonotoneMarginError, match="theta-in-s"):
         critical_q(CriterionId.THETA_IN_S, "direct", 1.0, FLAT)
+
+
+def test_a_closed_form_hit_takes_no_itp_step(monkeypatch):
+    counted = _Counted(monkeypatch)
+    c = SpiralClassParams(0.4, 0.25, 0.3)
+    q_h = scan_module._closed_root(CriterionId.THETA_IN_K, "direct", 1.5, c, None)
+    res = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, c)
+    assert counted.qs == [Q_MAX, q_h]
+    assert (res.q_star, res.iterations, res.boundary) == (q_h, 0, "")
+    assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma)
+
+
+@pytest.mark.parametrize("offset, probes", [(0.01, 0), (-0.01, 1)])
+def test_a_missed_start_is_an_end_of_the_bracket(monkeypatch, offset, probes):
+    # a start above the root closes the bracket (0, q_h) at once; one below
+    # it opens (q_h, 1/2), its upper end the first halving probe past q_h
+    c = SpiralClassParams(0.4, 0.25, 0.3)
+    root = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, c).q_star
+    q_h = root + offset
+    monkeypatch.setattr(scan_module, "_closed_root", lambda *args: q_h)
+    counted = _Counted(monkeypatch)
+    res = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, c)
+    assert counted.qs[:2 + probes] == [Q_MAX, q_h, *PROBES[:probes]]
+    assert len(counted.qs) == 2 + probes + res.iterations and res.iterations > 0
+    assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma)
+    assert abs(res.q_star - root) <= 1e-9
+
+
+def test_a_diverged_margin_at_the_start_is_ignored(monkeypatch):
+    # the direct sum diverges at the probe 1 - 2^-12 (test_root_next_to_the_inf_end):
+    # a start there leaves the cold search's bracket as it was
+    c = SpiralClassParams(0.0, 4e-4, 0.0)
+    monkeypatch.setattr(scan_module, "_closed_root", lambda *args: PROBES[11])
+    counted = _Counted(monkeypatch)
+    res = critical_q(CriterionId.G_IN_S, "direct", 1.0, c)
+    assert counted.qs[:14] == [Q_MAX, PROBES[11], *PROBES[:12]]
+    assert PROBES[10] < res.q_star < PROBES[11]
+
+
+@pytest.mark.parametrize("closed_lhs", [
+    lambda cid, p, c, r, rederived: 1.0 / 0.0,
+    # the margin rises from the probe q = 1/2 to q = 3/4
+    lambda cid, p, c, r, rederived: [{Q_MAX: 2.0, PROBES[0]: 0.5, PROBES[1]: 0.4}[p.q]],
+    lambda cid, p, c, r, rederived: [0.5],  # satisfied for all q
+])
+def test_no_start_where_the_closed_search_fails(monkeypatch, closed_lhs):
+    monkeypatch.setattr(scan_module, "_lhs_closed", closed_lhs)
+    assert scan_module._closed_root(CriterionId.THETA_IN_S, "direct", 2.0, FLAT, None) is None
+    counted = _Counted(monkeypatch)
+    res = critical_q(CriterionId.THETA_IN_S, "direct", 2.0, FLAT)
+    assert counted.qs[:2] == [Q_MAX, PROBES[0]]
+    assert len(counted.qs) == 2 + res.iterations
+
+
+@pytest.mark.parametrize("cid, variant, vartheta", [
+    (CriterionId.THETA_IN_S, "paper", 1.0),
+    (CriterionId.THETA_IN_K, "rederived", 1.0),
+    (CriterionId.LAMBDA_RTAU_IN_S, "direct", 0.999),
+    (CriterionId.LAMBDA_RTAU_IN_K, "direct", 0.5),
+])
+def test_no_start_where_closed_and_direct_differ(cid, variant, vartheta):
+    r = RTauParams(0.3, vartheta, 0.1)
+    assert scan_module._closed_root(cid, variant, 2.0, FLAT, r) is None
+
+
+def _sweep_case(rng, i):
+    cid = list(CriterionId)[i % len(CriterionId)]
+    if rng.random() < 0.5:
+        m = 1.0 + 10.0 ** rng.uniform(-7.0, -1.0)
+    else:
+        m = 10.0 ** rng.uniform(0.0, 1.0)
+    if rng.random() < 0.5:
+        xi = math.pi / 2 - 10.0 ** rng.uniform(-4.0, -1.0)
+    else:
+        xi = rng.uniform(0.0, 1.2)
+    gamma = 1.0 - 10.0 ** rng.uniform(-3.0, -1.0) if rng.random() < 0.5 else rng.uniform(0.0, 0.9)
+    rho = 1.0 - 10.0 ** rng.uniform(-3.0, -1.0) if rng.random() < 0.5 else rng.uniform(0.0, 0.9)
+    c = SpiralClassParams(rng.choice((-1.0, 1.0)) * xi, gamma, rho)
+    r = None
+    if cid.needs_rtau:
+        vartheta = 1.0 if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+        tau = cmath.rect(10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+        r = RTauParams(tau, vartheta, rng.uniform(-1.0, 0.9))
+    return cid, m, c, r
+
+
+def test_seeded_sweep_roots_meet_the_stop_rule_and_match_the_cold_search(monkeypatch):
+    """All six criteria over the documented domain, m - 1 from 1e-7 to 1e-1,
+    lambda at vartheta = 1 and below with complex tau.  Cases whose root
+    lies above q = 0.99 are left out: near q = 0.9997 the direct sum meets
+    its term cap, and its -inf gives the false root pinned in
+    test_known_defects.py, with or without the closed-form start."""
+    rng = random.Random(18)
+    closed_root = scan_module._closed_root
+    roots, kinds = [], set()
+    for i in range(240):
+        cid, m, c, r = _sweep_case(rng, i)
+
+        def margin(q):
+            return evaluate_criterion(cid, PascalParams(m, q), c, r).margin
+
+        if not margin(0.99) < 0.0:
+            continue
+        res = critical_q(cid, "direct", m, c, r)
+        monkeypatch.setattr(scan_module, "_closed_root", lambda *args: None)
+        cold = critical_q(cid, "direct", m, c, r)
+        monkeypatch.setattr(scan_module, "_closed_root", closed_root)
+        case = (cid, m, c, r, res)
+        assert res.boundary == "", case
+        assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma), case
+        h = 1e-5 * res.q_star + 1e-9
+        assert margin(res.q_star - h) > 0.0 > margin(res.q_star + h), case
+        assert abs(res.q_star - cold.q_star) <= 1e-9, (case, cold)
+        roots.append(res.q_star)
+        kinds.add((cid, r is not None and r.vartheta == 1.0, m < 1.1))
+    assert len(roots) >= 200
+    assert min(roots) < 1e-6 and max(roots) > 0.95
+    assert len(kinds) == 4 * 2 + 2 * 4

@@ -408,7 +408,7 @@ def test_report_calls_sum_Sinv_once_per_batch(monkeypatch):
         return summation.sum_Sinv(p)
 
     monkeypatch.setattr(criteria, "sum_Sinv", counted)
-    # each sum_Sinv at |m-1| < 1e-4 is a full oracle pass
+    # one sum_Sinv per (criterion, m, q) batch, not one per class
     report = discrepancy_report(m_grid=(1.0 + 1e-6,), q_grid=(0.3, 0.6))
     assert report["points_checked"] == 6 * 2 * 36
     # integral-in-s and lambda-in-s at each q
