@@ -150,17 +150,15 @@ def sum_Sinv(p: PascalParams) -> float:
 
     For m > 1:
         [(1-q) - (1-q)^m - q(m-1)(1-q)^m] / (q(m-1)(1-q)^m).
-    At m = 1 the analytic limit is (-ln(1-q) - q)/q.  For 0 < |m-1| < 1e-4,
-    where the form above cancels, the same sum is (L expm1(y)/y - q)/q with
-    L = -ln(1-q) and y = (m-1)L, since (1-q)^(1-m) = e^y."""
+    For |m-1| < 1e-4, where the form above cancels, the same sum is
+    (L expm1(y)/y - q)/q with L = -ln(1-q) and y = (m-1)L, since
+    (1-q)^(1-m) = e^y; at m = 1 (y = 0) that is the limit (L - q)/q."""
     if p.q == 0.0:
         return 0.0
-    if p.m == 1.0:
-        return (-math.log1p(-p.q) - p.q) / p.q
     if abs(p.m - 1.0) < _SINV_M1_WINDOW:
         L = -math.log1p(-p.q)
         y = (p.m - 1.0) * L
-        # y rounds to 0 only below q ~ 1e-308, where expm1(y)/y is 1
+        # y is 0 at m = 1, or below q ~ 1e-308, where expm1(y)/y is 1
         return (L * (math.expm1(y) / y if y else 1.0) - p.q) / p.q
     t = (1.0 - p.q) ** p.m
     return ((1.0 - p.q) - t - p.q * (p.m - 1.0) * t) / (p.q * (p.m - 1.0) * t)
