@@ -14,8 +14,9 @@ A sum_k k C(k+m-1, m-1) q^k in every variant, a power series with
 nonnegative coefficients.  The other closed forms equal a direct lhs (times
 the positive R^tau prefactor for lambda-in-s) or are sums of terms that each
 increase in q (the printed convex form of theta-in-k and lambda-in-k).  So
-only rounding can make a margin rise, as sum_Sinv's does below q ~ 1e-3;
-tests/test_scan.py checks the property over the documented domain.
+only rounding can make a margin rise, as sum_Sinv's final - q can, by
+about (1/q + m) eps relative; tests/test_scan.py checks the property over
+the documented domain, q down to 1e-14.
 
 At q = 0 the lhs is 0 and the margin 1-gamma > 0, so a root is either
 interior or absent up to Q_MAX.  critical_q brackets it by halving 1-q and

@@ -140,28 +140,19 @@ def sum_S2(p: PascalParams) -> float:
     return p.q**2 * p.m * (p.m + 1.0) / (1.0 - p.q) ** (p.m + 2.0)
 
 
-# Below this distance from m = 1 the closed form for sum_Sinv divides by a
-# catastrophically small (m-1); its expm1 form is used there instead.
-_SINV_M1_WINDOW = 1e-4
-
-
 def sum_Sinv(p: PascalParams) -> float:
-    """sum_{n>=2} (1/n) C(n+m-2, m-1) q^{n-1}.
-
-    For m > 1:
-        [(1-q) - (1-q)^m - q(m-1)(1-q)^m] / (q(m-1)(1-q)^m).
-    For |m-1| < 1e-4, where the form above cancels, the same sum is
-    (L expm1(y)/y - q)/q with L = -ln(1-q) and y = (m-1)L, since
-    (1-q)^(1-m) = e^y; at m = 1 (y = 0) that is the limit (L - q)/q."""
+    """sum_{n>=2} (1/n) C(n+m-2, m-1) q^{n-1} = (L expm1(y)/y - q)/q, with
+    L = -ln(1-q) and y = (m-1)L, since (1-q)^(1-m) = e^y.  It is taken as
+    (L (1-q) (-expm1(-y)/y) / t - q)/q with t = (1-q)^m, since
+    e^y - 1 = (1-q)(1 - e^-y)/t, so e^y is never formed: only the final - q
+    cancels, about (1/q + m) eps relative."""
     if p.q == 0.0:
         return 0.0
-    if abs(p.m - 1.0) < _SINV_M1_WINDOW:
-        L = -math.log1p(-p.q)
-        y = (p.m - 1.0) * L
-        # y is 0 at m = 1, or below q ~ 1e-308, where expm1(y)/y is 1
-        return (L * (math.expm1(y) / y if y else 1.0) - p.q) / p.q
-    t = (1.0 - p.q) ** p.m
-    return ((1.0 - p.q) - t - p.q * (p.m - 1.0) * t) / (p.q * (p.m - 1.0) * t)
+    L = -math.log1p(-p.q)
+    y = (p.m - 1.0) * L
+    # y is 0 at m = 1, or below q ~ 1e-308, where -expm1(-y)/y is 1
+    g = -math.expm1(-y) / y if y else 1.0
+    return (L * (1.0 - p.q) * g / (1.0 - p.q) ** p.m - p.q) / p.q
 
 
 IDENTITY_IDS = ("S0", "S1", "S2", "Sinv")

@@ -254,7 +254,7 @@ def test_seeded_sweep_roots_meet_the_stop_rule_and_match_the_cold_search(monkeyp
     test_known_defects.py, with or without the closed-form start."""
     rng = random.Random(18)
     closed_root = scan_module._closed_root
-    roots, kinds = [], set()
+    roots, kinds, missed = [], set(), []
     for i in range(240):
         cid, m, c, r = _sweep_case(rng, i)
 
@@ -273,8 +273,11 @@ def test_seeded_sweep_roots_meet_the_stop_rule_and_match_the_cold_search(monkeyp
         h = 1e-5 * res.q_star + 1e-9
         assert margin(res.q_star - h) > 0.0 > margin(res.q_star + h), case
         assert abs(res.q_star - cold.q_star) <= 1e-9, (case, cold)
+        if res.iterations and closed_root(cid, "direct", m, c, r) is not None:
+            missed.append(case)  # a closed-form start that still took ITP steps
         roots.append(res.q_star)
         kinds.add((cid, r is not None and r.vartheta == 1.0, m < 1.1))
     assert len(roots) >= 200
+    assert missed == []
     assert min(roots) < 1e-6 and max(roots) > 0.95
     assert len(kinds) == 4 * 2 + 2 * 4

@@ -81,6 +81,17 @@ class TestCriticalQ:
         ]
         assert at[0] > 0.5 and at[1] < 0.0
 
+    def test_rederived_lambda_in_s_takes_no_false_root_at_large_tau(self):
+        # rederived bounds the R^tau weight 1/(1+vartheta(n-1)) above by
+        # 1/(vartheta n), so its margin is at most direct's at every q, and its
+        # q* at most direct's; as q -> 0 both margins tend to 1 - gamma = 0.209
+        c, r = SpiralClassParams(-1.137, 0.791, 0.732), RTauParams(3e8, 0.316, -0.803)
+        cid = CriterionId.LAMBDA_RTAU_IN_S
+        margin = evaluate_criterion(cid, PascalParams(8.12, 1e-24), c, r, "rederived").margin
+        assert math.isclose(margin, 1.0 - c.gamma, rel_tol=1e-6)
+        rederived = critical_q(cid, "rederived", 8.12, c, r).q_star
+        assert rederived <= critical_q(cid, "direct", 8.12, c, r).q_star
+
     def test_root_where_the_margin_is_tiny_in_scale(self):
         # 1-gamma = 1e-7 and |tau| = 1e-7 scale the whole margin down, so
         # that |margin| <= 1e-10 spans about 1e-3 in q; the stop rule is
@@ -153,7 +164,12 @@ class TestMarginDecreasesInQ:
     )
     @given(
         m=st.floats(1.0, 50.0),
-        qs=st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2, unique=True).map(sorted),
+        # log-uniform down to 1e-14, where a closed form's rounding could make
+        # a margin rise; st.floats(1e-12, 0.999) almost never draws below 1e-3
+        qs=st.lists(
+            st.floats(-14.0, math.log10(0.999)).map(lambda e: 10.0**e),
+            min_size=2, max_size=2, unique=True,
+        ).map(sorted),
         xi=st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True),
         gamma=st.floats(0.0, 1.0, exclude_max=True),
         rho=st.floats(0.0, 1.0, exclude_max=True),

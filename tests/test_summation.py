@@ -60,37 +60,41 @@ class TestClosedForms:
             assert abs(a - b) <= 1e-6
 
 
-def _sinv_40_digits(m, q):
-    """sum_Sinv from its m > 1 closed form at 40 digits; the cancellation
-    at m - 1 >= 1e-15 costs at most 15 of them."""
-    with mpmath.workdps(40):
+def _sinv_50_digits(m, q):
+    """sum_Sinv as (L expm1(y)/y - q)/q, L = -log1p(-q), y = (m-1)L, at 50
+    digits; only the final - q cancels, and at q >= 1e-12 it costs at most
+    13 of them."""
+    with mpmath.workdps(50):
         m, q = mpmath.mpf(m), mpmath.mpf(q)
-        return float(((1 - q) ** (1 - m) - 1) / (q * (m - 1)) - 1)
+        L = -mpmath.log1p(-q)
+        y = (m - 1) * L
+        return float((L * (mpmath.expm1(y) / y if y else 1) - q) / q)
 
 
-class TestSinvNearMOne:
-    """0 < |m-1| < 1e-4, where sum_Sinv takes its expm1 form."""
+class TestSinvAtEveryM:
+    """sum_Sinv's one form, from m = 1 + 1e-15 to m = 1001."""
 
     def test_reference_is_the_series(self):
         with mpmath.workdps(40):
-            for m, q in ((1.0 + 1e-9, 1e-3), (1.00005, 0.05)):
+            for m, q in ((1.0 + 1e-15, 1e-12), (1.0 + 1e-9, 1e-3), (1.00005, 0.05), (3.0, 0.5)):
                 mm, qq = mpmath.mpf(m), mpmath.mpf(q)
                 direct = mpmath.nsum(
                     lambda n: mpmath.binomial(n + mm - 2, mm - 1) * qq ** (n - 1) / n,
                     [2, mpmath.inf],
                 )
-                assert abs(_sinv_40_digits(m, q) - direct) <= 1e-16 * direct
+                assert abs(_sinv_50_digits(m, q) - direct) <= 1e-16 * direct
 
     def test_matches_40_digits(self):
-        # the form cancels like the m = 1 limit, (-ln(1-q) - q)/q: about
-        # 2 eps/q relative as q -> 0, where the sum is about q/2
+        # the final - q cancels like the m = 1 limit, (-ln(1-q) - q)/q: about
+        # eps/q relative as q -> 0, where the sum is about q/2; (1-q)^m adds
+        # about m eps
         rng = random.Random(60)
-        for _ in range(60):
-            m = 1.0 + 10.0 ** rng.uniform(-15.0, -4.0)
-            q = 10.0 ** rng.uniform(-6.0, math.log10(0.999))
-            want = _sinv_40_digits(m, q)
+        for _ in range(300):
+            m = 1.0 + 10.0 ** rng.uniform(-15.0, 3.0)
+            q = 10.0 ** rng.uniform(-12.0, math.log10(0.999))
+            want = _sinv_50_digits(m, q)
             got = sum_Sinv(PascalParams(m, q))
-            assert abs(got - want) <= 8.0 * np.finfo(float).eps / q * want, (m, q)
+            assert abs(got - want) <= 8.0 * (1.0 / q + m) * np.finfo(float).eps * want, (m, q)
 
     def test_sums_no_series(self, monkeypatch):
         def refuse(*args):
@@ -98,9 +102,10 @@ class TestSinvNearMOne:
 
         monkeypatch.setattr(summation, "oracle_sum", refuse)
         assert sum_Sinv(PascalParams(1.0 + 1e-6, 0.3)) > 0.0
+        assert sum_Sinv(PascalParams(40.0, 0.3)) > 0.0
 
     def test_underflowing_exponent_takes_the_m_one_limit(self):
-        # y = (m-1)(-ln(1-q)) rounds to 0 here, and expm1(y)/y would divide by it
+        # y = (m-1)(-ln(1-q)) rounds to 0 here, and -expm1(-y)/y would divide by it
         q = 1e-310
         assert sum_Sinv(PascalParams(1.0 + 2.0**-52, q)) == sum_Sinv(PascalParams(1.0, q))
 
