@@ -33,6 +33,7 @@ from .summation import (
     sum_S1,
     sum_S2,
     sum_Sinv,
+    sum_J,
 )
 from .criteria import (
     CriterionId,
@@ -72,6 +73,7 @@ __all__ = [
     "pascal_pmf", "rtau_coefficient_bound", "theta_series",
     "IdentityReport", "SummationDivergenceError", "all_identity_reports",
     "identity_report", "oracle_sum", "sum_S0", "sum_S1", "sum_S2", "sum_Sinv",
+    "sum_J",
     "CriterionId", "SpiralClassParams", "Verdict", "corollary", "deficiency",
     "discrepancy_report", "evaluate_all", "evaluate_criterion", "weight_K",
     "weight_S",

@@ -32,7 +32,10 @@ replace the R^tau bound 1/(1+vartheta(n-1)) by the larger 1/(vartheta n), so
 they equal direct only at vartheta = 1 and are upper bounds otherwise; at
 m=2, q=0.3, xi=gamma=rho=0, lambda-in-s gives paper 1.4571 vs direct 1.2406
 at vartheta 0.7.  The printed lambda-in-k form also carries the convex-side
-erratum and differs from direct at every vartheta.
+erratum and differs from direct at every vartheta.  The direct lambda lhs
+has a closed form at every vartheta too, _lhs_rtau_exact from
+summation.sum_J; it starts scan's direct lambda roots, and the rederived
+variant keeps the 1/(vartheta n) bound (ROADMAP item 6).
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .series import PascalParams, PowerSeries, RTauParams, rtau_bound
-from .summation import oracle_sum, sum_Sinv
+from .summation import CANCELLATION_LIMIT, oracle_sum, sum_J, sum_Sinv
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,39 @@ def _m1_raw_closed(p: PascalParams, c: SpiralClassParams) -> float:
     # sum of weight_S(n)*phi_n in closed form (unnormalised)
     t = (1.0 - p.q) ** p.m
     return c.slope * p.q * p.m / (1.0 - p.q) + (1.0 - c.gamma) * (1.0 - t)
+
+
+def _lhs_rtau_exact(
+    cid: CriterionId, p: PascalParams, c: SpiralClassParams, r: RTauParams
+) -> float:
+    """The direct lhs of lambda-in-s or lambda-in-k in closed form, at every
+    vartheta, from the sums J_i of k^i P(X = k)/(1 + vartheta k) over k >= 1,
+    X ~ NB(m, q).  J_0 is sum_J, and k/(1 + vartheta k) is
+    (1 - 1/(1 + vartheta k))/vartheta, so J_1 = ((1-t) - J_0)/vartheta and
+    J_2 = (mq/(1-q) - J_1)/vartheta, t = (1-q)^m.  The direct weight at
+    n = k+1 is P(A k + B), P = 2|tau|(1-delta), for lambda-in-s and
+    P(k+1)(A k + B) for lambda-in-k: their lhs are P(A J_1 + B J_0) and
+    P(A J_2 + (A+B) J_1 + B J_0).
+
+    A difference x - y magnifies the relative errors of x and y by
+    (x + y)/(x - y), about 1 + 2/vartheta here at small q.  Where the
+    product of these factors passes CANCELLATION_LIMIT (lambda-in-k at
+    small q below vartheta = 0.032), it raises FloatingPointError."""
+    m, q, theta = p.m, p.q, r.vartheta
+    a, b = c.slope, 1.0 - c.gamma
+    u = -math.expm1(m * math.log1p(-q))
+    j0 = sum_J(p, theta)
+    j1 = (u - j0) / theta
+    loss = (u + j0) / (u - j0)
+    lhs = a * j1 + b * j0
+    if cid is CriterionId.LAMBDA_RTAU_IN_K:
+        v = m * q / (1.0 - q)
+        j2 = (v - j1) / theta
+        loss *= (v + j1) / (v - j1)
+        lhs = a * j2 + (a + b) * j1 + b * j0
+    if not loss <= CANCELLATION_LIMIT:
+        raise FloatingPointError(f"{cid.value} closed form cancels at vartheta={theta}")
+    return 2.0 * abs(r.tau) * (1.0 - r.delta) * lhs
 
 
 def _columns(classes):

@@ -1,22 +1,25 @@
 """Critical-q search (where a criterion becomes tight) and parameter sweeps.
 
-Every margin 1-gamma - lhs decreases in q, in all 18 (criterion, variant)
-forms.  With X ~ NB(m, q), P(X = k) = C(k+m-1, m-1) q^k (1-q)^m, the direct
-lhs of theta-in-k, integral-in-s and the lambda criteria is E[h(X)] with
-h(0) = 0 and h(k) = w(k+1), where w is weight_K, weight_S/n, or weight_S or
-weight_K times the R^tau bound; the rederived lambda-in-k closed form is the
-R^tau prefactor times E[h(X)] with w = weight_S.  Each w is >= 0 and
-nondecreasing in n, because the slope A of weight_S(n) = A(n-1) + 1-gamma
-is >= 1-gamma >= (1-gamma) vartheta; and NB(m, q) increases in q in the
-likelihood-ratio order (Shaked & Shanthikumar, Stochastic Orders, 2007,
-1.C), so E[h(X)] does too.  The theta-in-s and integral-in-k lhs is
-A sum_k k C(k+m-1, m-1) q^k in every variant, a power series with
-nonnegative coefficients.  The other closed forms equal a direct lhs (times
-the positive R^tau prefactor for lambda-in-s) or are sums of terms that each
-increase in q (the printed convex form of theta-in-k and lambda-in-k).  So
+Every margin 1-gamma - lhs decreases in q, and in m, in all 18 (criterion,
+variant) forms.  With X ~ NB(m, q), P(X = k) = C(k+m-1, m-1) q^k (1-q)^m,
+the direct lhs of theta-in-k, integral-in-s and the lambda criteria is
+E[h(X)] with h(0) = 0 and h(k) = w(k+1), where w is weight_K, weight_S/n,
+or weight_S or weight_K times the R^tau bound; the rederived lambda-in-k
+closed form is the R^tau prefactor times E[h(X)] with w = weight_S.  Each w
+is >= 0 and nondecreasing in n, because the slope A of
+weight_S(n) = A(n-1) + 1-gamma is >= 1-gamma >= (1-gamma) vartheta; and
+NB(m, q) increases in q, and in m, in the likelihood-ratio order (for
+q' > q the pmf ratio is proportional to (q'/q)^k, for m' > m to
+Gamma(k+m')/Gamma(k+m), both increasing in k; Shaked & Shanthikumar,
+Stochastic Orders, 2007, 1.C), so E[h(X)] increases in both.  The
+theta-in-s and integral-in-k lhs is A sum_k k C(k+m-1, m-1) q^k in every
+variant, a power series in q whose coefficients (m)_k/k! increase in m.
+The other closed forms equal a direct lhs (times the positive R^tau
+prefactor for lambda-in-s) or are sums of terms that each increase in q
+and in m (the printed convex form of theta-in-k and lambda-in-k).  So
 only rounding can make a margin rise, as sum_Sinv's final - q can, by
-about (1/q + m) eps relative; tests/test_scan.py checks the property over
-the documented domain, q down to 1e-14.
+about (1/q + m) eps relative; tests/test_scan.py checks both properties
+over the documented domain, q down to 1e-14.
 
 At q = 0 the lhs is 0 and the margin 1-gamma > 0, so a root is either
 interior or absent up to Q_MAX.  critical_q brackets it by halving 1-q and
@@ -25,21 +28,25 @@ TOMS 47(1), 2020): a regula falsi step, pulled toward the midpoint and kept
 within bisection's worst-case step count.  It needs no derivative, keeps
 bisection's guarantee, and converges superlinearly on the smooth margins.
 
-A direct root first tries the root of the rederived closed margin, which
-equals the direct margin in exact arithmetic for theta-in-s, theta-in-k,
-integral-in-s, integral-in-k, and the lambda criteria at vartheta = 1.  The
-closed root is found by the same search, to a bracket below _Q_TOL; its
-evaluations are not margin evaluations of the variant.  After the direct
-margin at Q_MAX, the direct margin at the closed root usually meets the
-stop rule, and that root is returned with iterations == 0.  Otherwise that
-margin, if finite, ends the bracket on its side, and the search goes on."""
+A direct root first tries the root of a closed margin that equals the
+direct margin in exact arithmetic: the rederived form of theta-in-s,
+theta-in-k, integral-in-s and integral-in-k, and for the lambda criteria,
+at every vartheta, criteria._lhs_rtau_exact from summation.sum_J.  The
+closed root is found by the same search on (0, _START_Q_MAX], to a bracket
+below _Q_TOL; its evaluations are not margin evaluations of the variant.
+After the direct margin at Q_MAX, the direct margin at the closed root
+usually meets the stop rule, and that root is returned with
+iterations == 0.  Otherwise that margin, if finite, ends the bracket on
+its side, and the search goes on."""
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
 from itertools import product
 
-from .criteria import CriterionId, SpiralClassParams, _lhs_closed, evaluate_criterion
+from .criteria import (
+    CriterionId, SpiralClassParams, _lhs_closed, _lhs_rtau_exact, evaluate_criterion,
+)
 from .series import PascalParams, RTauParams
 from .summation import SummationDivergenceError
 
@@ -58,6 +65,11 @@ _ITP_DELTA0 = 0.2
 _ITP_KAPPA2 = 2.5
 _ITP_N0 = 1
 _MONOTONE_SLACK = 1e-12
+# the closed search of a direct root's start runs on (0, _START_Q_MAX], up
+# to a halving probe: sum_J needs about 37/(1-q) terms as m -> 1 (4e10 at
+# Q_MAX), and at Q_MAX the closed forms of theta-in-s and integral-in-s
+# raise ZeroDivisionError from m = 35 and 36
+_START_Q_MAX = 1.0 - 2.0**-7
 
 BOUNDARY_ALL_Q = "satisfied_for_all_q"
 # no result carries this label (the margin at q = 0 is 1-gamma > 0, so every
@@ -123,32 +135,37 @@ def critical_q(
 
 
 def _closed_root(cid, variant, m, c, r) -> float | None:
-    """For the direct variant, the root of the rederived closed margin,
-    which equals the direct one in exact arithmetic for every criterion but
-    the lambda ones at vartheta != 1 (criteria's module docstring); else
-    None.  It is solved to a bracket below _Q_TOL, not to MARGIN_TOL, so
-    that it sits on the direct root to rounding.  None too where the closed
-    margin stays positive up to Q_MAX or its search fails: the direct
-    search then runs cold."""
-    if variant != "direct" or (cid.needs_rtau and r.vartheta != 1.0):
+    """For the direct variant, the root of a closed margin that equals the
+    direct one in exact arithmetic: the rederived form, or for the lambda
+    criteria criteria._lhs_rtau_exact; else None.  It is solved to a
+    bracket below _Q_TOL, not to MARGIN_TOL, so that it sits on the direct
+    root to rounding.  None too where the closed margin stays positive up to
+    _START_Q_MAX or its search fails: the direct search then runs cold."""
+    if variant != "direct":
         return None
     rhs = 1.0 - c.gamma
-
-    def margin(q):
-        return rhs - _lhs_closed(cid, PascalParams(m, q), c, r, True)[0]
+    # chosen once: cid.needs_rtau costs about as much as a PascalParams
+    if cid.needs_rtau:
+        def margin(q):
+            return rhs - _lhs_rtau_exact(cid, PascalParams(m, q), c, r)
+    else:
+        def margin(q):
+            return rhs - _lhs_closed(cid, PascalParams(m, q), c, r, True)[0]
 
     try:
-        res = _search(margin, rhs, 0.0, "closed margin not decreasing in q")
+        res = _search(margin, rhs, 0.0, "closed margin not decreasing in q", top=_START_Q_MAX)
     except (ArithmeticError, SummationDivergenceError, NonMonotoneMarginError):
         return None
     return None if res.boundary else res.q_star
 
 
-def _search(margin, rhs: float, tol: float, rising: str, hint=None) -> CriticalQ:
+def _search(
+    margin, rhs: float, tol: float, rising: str, hint=None, top: float = Q_MAX
+) -> CriticalQ:
     """The zero of margin(q), decreasing from rhs = margin(0) > 0, to
-    |margin| <= tol or a bracket below _Q_TOL.
+    |margin| <= tol or a bracket below _Q_TOL, on (0, top].
 
-    The margin at Q_MAX decides the all-q boundary.  Then hint(), if given,
+    The margin at top decides the all-q boundary.  Then hint(), if given,
     may name a start q_h: a margin there of at most tol in size makes q_h
     the root, after no ITP step, and any other finite margin makes q_h the
     end of the bracket on its side.  The bracket's upper end halves 1-q:
@@ -157,10 +174,10 @@ def _search(margin, rhs: float, tol: float, rising: str, hint=None) -> CriticalQ
     (or NaN).  A probe whose margin rises above the one before it by more
     than _MONOTONE_SLACK raises NonMonotoneMarginError(rising).  iterations
     counts the ITP steps, one margin evaluation each, after the probes."""
-    f_top = margin(Q_MAX)
+    f_top = margin(top)
     if f_top > 0.0:
-        return CriticalQ(Q_MAX, 0, f_top, BOUNDARY_ALL_Q)
-    lo, f_lo, hi, f_hi = 0.0, rhs, Q_MAX, f_top
+        return CriticalQ(top, 0, f_top, BOUNDARY_ALL_Q)
+    lo, f_lo, hi, f_hi = 0.0, rhs, top, f_top
     q_h = hint() if hint else None
     if q_h is not None:
         f_h = margin(q_h)

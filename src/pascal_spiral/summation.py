@@ -1,9 +1,10 @@
 """Closed forms for the weighted Pascal coefficient sums, each paired with a
 brute-force truncated-summation oracle.
 
-Convention: every sum here is the *raw* coefficient sum
+Convention: every sum here but sum_J is the *raw* coefficient sum
 sum_{n>=2} w(n) C(n+m-2, m-1) q^{n-1}, without the (1-q)^m factor.  Criteria
-code applies that factor explicitly.
+code applies that factor explicitly.  sum_J carries it, because its raw sum
+overflows at large m where the scaled one does not.
 """
 from __future__ import annotations
 
@@ -26,6 +27,12 @@ from .series import (
 # than the few ulps that rounding q*(n+m-1)/n can move it at any order
 _DOOMED_RATIO = 1.0 + 8.0 * np.finfo(float).eps
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
+_J_BLOCK = 16384
+# the factor by which terms may cancel in a sum that a closed form takes
+# (sum_J, criteria._lhs_rtau_exact) before it refuses: 2^12 eps is about
+# 9e-13 relative
+CANCELLATION_LIMIT = 2.0**12
 
 
 def oracle_sum(
@@ -153,6 +160,63 @@ def sum_Sinv(p: PascalParams) -> float:
     # y is 0 at m = 1, or below q ~ 1e-308, where -expm1(-y)/y is 1
     g = -math.expm1(-y) / y if y else 1.0
     return (L * (1.0 - p.q) * g / (1.0 - p.q) ** p.m - p.q) / p.q
+
+
+def sum_J(p: PascalParams, vartheta: float) -> float:
+    """J = sum_{k>=1} P(X = k)/(1 + vartheta k), X ~ NB(m, q), that is
+    (1-q)^m sum_{n>=2} C(n+m-2, m-1) q^{n-1}/(1 + vartheta(n-1)): the
+    R^tau-weighted sum, (1-q)^m sum_Sinv at vartheta = 1.
+
+    With a = 1/vartheta, sum_{k>=0} (m)_k q^k/(k! (1 + vartheta k)) is
+    2F1(m, a; a+1; q), which Euler's transformation (DLMF 15.8.1) writes as
+    (1-q)^(1-m) sum_{j>=0} e_j q^j, with e_0 = 1 and
+    e_{j+1}/e_j = (a+1-m+j)/(a+1+j).  So
+    J = (1-q) (sum_{j>=1} e_j q^j - expm1((m-1) log1p(-q))), whose terms
+    decay like j^-m q^j.  From j = m-a-1 on they keep one sign and shrink
+    by ratios below q; the sum stops at the end of the first block there
+    whose last term's geometric tail is below eps times the bracket.  The
+    first block holds the log(eps(1-q))/log(q) terms that q^j alone needs,
+    about 37/(1-q) as q -> 1, and each further one twice as many, up to
+    _J_BLOCK; past TRUNCATION_CAP terms it raises SummationDivergenceError.
+
+    Before j = m-a-1 the terms alternate in sign, and cancel where m is well
+    above a+1 (at vartheta = 1 and m = 627, 6e-15 relative at q = 0.01,
+    8e-4 at q = 0.05).  Where the magnitudes of the blocks that begin there
+    sum to more than CANCELLATION_LIMIT times the bracket, or the bracket is
+    nan, it raises FloatingPointError."""
+    m, q = p.m, p.q
+    if q == 0.0:
+        return 0.0
+    d = 1.0 / vartheta + 1.0
+    c = d - m
+    e = math.expm1((m - 1.0) * math.log1p(-q))
+    s, term, j0, spread = 0.0, 1.0, 0, 0.0
+    size = min(int(math.log(_EPS * (1.0 - q)) / math.log(q)) + 1, _J_BLOCK)
+    # alternating terms can overflow to inf, and their sum to nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if j0 >= TRUNCATION_CAP:
+                raise SummationDivergenceError(abs(term), TRUNCATION_CAP)
+            j = np.arange(float(j0), float(j0 + size))
+            terms = c + j
+            terms /= d + j
+            terms *= q
+            np.cumprod(terms, out=terms)
+            terms *= term
+            if c + j0 < 0.0:
+                spread += float(np.abs(terms).sum())
+            s += float(terms.sum())
+            term = float(terms[-1])
+            j0 += size
+            # (a nan sum stops here too)
+            if c + j0 >= 0.0 and not abs(term) * q > _EPS * (1.0 - q) * abs(s - e):
+                break
+            size = min(2 * size, _J_BLOCK)
+    if not spread <= CANCELLATION_LIMIT * abs(s - e):
+        raise FloatingPointError(
+            f"sum_J cancels at m={m}, q={q}, vartheta={vartheta}"
+        )
+    return (1.0 - q) * (s - e)
 
 
 IDENTITY_IDS = ("S0", "S1", "S2", "Sinv")

@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -182,6 +184,39 @@ class TestCorollary:
         a = corollary(CriterionId.THETA_IN_S, p, c, variant="paper")
         b = corollary(CriterionId.G_IN_K, p, c, variant="paper")
         assert a.lhs == b.lhs
+
+
+class TestExactRtauLhs:
+    """criteria._lhs_rtau_exact, the closed form of the direct lambda lhs at
+    every vartheta that starts the direct lambda roots."""
+
+    @pytest.mark.parametrize("cid", [CriterionId.LAMBDA_RTAU_IN_S, CriterionId.LAMBDA_RTAU_IN_K])
+    def test_matches_the_direct_sum(self, cid):
+        # m - 1 log-uniform in [1e-7, 11], q log-uniform in [1e-8, 0.99],
+        # vartheta uniform in [0.05, 1], complex tau: worst 9.8e-15
+        rng = random.Random(20)
+        for _ in range(150):
+            m = 1.0 + 10.0 ** rng.uniform(-7.0, math.log10(11.0))
+            p = PascalParams(m, 10.0 ** rng.uniform(-8.0, math.log10(0.99)))
+            c = SpiralClassParams(rng.uniform(-1.5, 1.5), rng.uniform(0.0, 0.99), rng.uniform(0.0, 0.99))
+            tau = cmath.rect(10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+            r = RTauParams(tau, rng.uniform(0.05, 1.0), rng.uniform(-1.0, 0.9))
+            direct = evaluate_criterion(cid, p, c, r, "direct").lhs
+            exact = criteria._lhs_rtau_exact(cid, p, c, r)
+            assert abs(exact - direct) <= 1e-12 * max(1.0, abs(direct)), (m, p.q, c, r)
+
+    def test_equals_the_rederived_form_at_vartheta_one(self):
+        p, c = PascalParams(2.5, 0.4), SpiralClassParams(0.5, 0.25, 0.3)
+        for cid in (CriterionId.LAMBDA_RTAU_IN_S, CriterionId.LAMBDA_RTAU_IN_K):
+            rederived = evaluate_criterion(cid, p, c, RTAU1, "rederived").lhs
+            assert criteria._lhs_rtau_exact(cid, p, c, RTAU1) == pytest.approx(rederived, rel=1e-14)
+
+    def test_refuses_where_its_differences_cancel(self):
+        # J_2 divides by vartheta twice: about (1 + 2/vartheta)^2 ulps
+        p, r = PascalParams(2.0, 0.01), RTauParams(1.0, 0.01, 0.0)
+        criteria._lhs_rtau_exact(CriterionId.LAMBDA_RTAU_IN_S, p, FLAT, r)
+        with pytest.raises(FloatingPointError, match="lambda-in-k"):
+            criteria._lhs_rtau_exact(CriterionId.LAMBDA_RTAU_IN_K, p, FLAT, r)
 
 
 class TestMonotonicity:

@@ -18,6 +18,7 @@ from pascal_spiral import (
 )
 
 scan_module = importlib.import_module("pascal_spiral.scan")
+criteria_module = importlib.import_module("pascal_spiral.criteria")
 Q_MAX = scan_module.Q_MAX
 FLAT = SpiralClassParams(0.0, 0.0, 0.0)
 RTAU = RTauParams(1.0, 0.6, 0.2)
@@ -162,14 +163,46 @@ def test_a_margin_rising_between_probes_is_refused(monkeypatch, cold):
         critical_q(CriterionId.THETA_IN_S, "direct", 1.0, FLAT)
 
 
+# (criterion, m, class, R^tau) whose direct root the closed-form start
+# finds: theta-in-s and integral-in-s at large m, where the closed forms
+# raise at Q_MAX, and the lambda criteria at vartheta != 1, from sum_J
+HIT_CASES = [
+    (CriterionId.THETA_IN_K, 1.5, SpiralClassParams(0.4, 0.25, 0.3), None),
+    *[
+        (cid, m, SpiralClassParams(0.3, 0.2, 0.1), None)
+        for cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_S)
+        for m in (40.0, 50.0, 140.0)
+    ],
+    *[
+        (cid, 1.5, SpiralClassParams(0.4, 0.25, 0.3), RTauParams(0.3, vartheta, 0.1))
+        for cid in (CriterionId.LAMBDA_RTAU_IN_S, CriterionId.LAMBDA_RTAU_IN_K)
+        for vartheta in (0.5, 0.05)
+    ],
+]
+
+
 def test_a_closed_form_hit_takes_no_itp_step(monkeypatch):
     counted = _Counted(monkeypatch)
-    c = SpiralClassParams(0.4, 0.25, 0.3)
-    q_h = scan_module._closed_root(CriterionId.THETA_IN_K, "direct", 1.5, c, None)
-    res = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, c)
-    assert counted.qs == [Q_MAX, q_h]
-    assert (res.q_star, res.iterations, res.boundary) == (q_h, 0, "")
-    assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma)
+    for cid, m, c, r in HIT_CASES:
+        q_h = scan_module._closed_root(cid, "direct", m, c, r)
+        counted.qs = []
+        res = critical_q(cid, "direct", m, c, r)
+        case = (cid, m, c, r)
+        assert q_h is not None and counted.qs == [Q_MAX, q_h], case
+        assert (res.q_star, res.iterations, res.boundary) == (q_h, 0, ""), case
+        assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma), case
+
+
+@pytest.mark.parametrize("cid", [CriterionId.LAMBDA_RTAU_IN_S, CriterionId.LAMBDA_RTAU_IN_K])
+@pytest.mark.parametrize("m, vartheta", [(1.5, 1e-300), (600.0, 1e-300), (600.0, 1.0), (627.0, 1.0)])
+def test_a_start_where_its_sums_cancel_hits_or_is_none(cid, m, vartheta):
+    # J_1 and J_2 divide by vartheta = 1e-300; sum_J's terms alternate and
+    # cancel at m = 600 and 627 with vartheta = 1
+    c = SpiralClassParams(0.3, 0.2, 0.1)
+    r = RTauParams(0.3, vartheta, 0.1)
+    q_h = scan_module._closed_root(cid, "direct", m, c, r)
+    res = critical_q(cid, "direct", m, c, r)
+    assert q_h is None or (res.q_star, res.iterations) == (q_h, 0)
 
 
 @pytest.mark.parametrize("offset, probes", [(0.01, 0), (-0.01, 1)])
@@ -202,7 +235,9 @@ def test_a_diverged_margin_at_the_start_is_ignored(monkeypatch):
 @pytest.mark.parametrize("closed_lhs", [
     lambda cid, p, c, r, rederived: 1.0 / 0.0,
     # the margin rises from the probe q = 1/2 to q = 3/4
-    lambda cid, p, c, r, rederived: [{Q_MAX: 2.0, PROBES[0]: 0.5, PROBES[1]: 0.4}[p.q]],
+    lambda cid, p, c, r, rederived: [
+        {scan_module._START_Q_MAX: 2.0, PROBES[0]: 0.5, PROBES[1]: 0.4}[p.q]
+    ],
     lambda cid, p, c, r, rederived: [0.5],  # satisfied for all q
 ])
 def test_no_start_where_the_closed_search_fails(monkeypatch, closed_lhs):
@@ -217,8 +252,6 @@ def test_no_start_where_the_closed_search_fails(monkeypatch, closed_lhs):
 @pytest.mark.parametrize("cid, variant, vartheta", [
     (CriterionId.THETA_IN_S, "paper", 1.0),
     (CriterionId.THETA_IN_K, "rederived", 1.0),
-    (CriterionId.LAMBDA_RTAU_IN_S, "direct", 0.999),
-    (CriterionId.LAMBDA_RTAU_IN_K, "direct", 0.5),
 ])
 def test_no_start_where_closed_and_direct_differ(cid, variant, vartheta):
     r = RTauParams(0.3, vartheta, 0.1)
@@ -281,3 +314,27 @@ def test_seeded_sweep_roots_meet_the_stop_rule_and_match_the_cold_search(monkeyp
     assert missed == []
     assert min(roots) < 1e-6 and max(roots) > 0.95
     assert len(kinds) == 4 * 2 + 2 * 4
+
+
+def test_sum_j_evaluations_per_lambda_root(monkeypatch):
+    """The start of a direct lambda root calls sum_J once per closed margin,
+    outside the benchmark's traced functions, so its count is kept here:
+    over the 75 lambda roots of the seeded sweep above, 816 calls (10.9 per
+    root); more than 13.5 per root means the start's search grew."""
+    calls = []
+    sum_j = criteria_module.sum_J
+
+    def counted(p, vartheta):
+        calls.append(p.q)
+        return sum_j(p, vartheta)
+
+    monkeypatch.setattr(criteria_module, "sum_J", counted)
+    rng = random.Random(18)
+    roots = 0
+    for i in range(240):
+        cid, m, c, r = _sweep_case(rng, i)
+        if cid.needs_rtau and evaluate_criterion(cid, PascalParams(m, 0.99), c, r).margin < 0.0:
+            critical_q(cid, "direct", m, c, r)
+            roots += 1
+    assert roots >= 60
+    assert len(calls) <= 13.5 * roots, len(calls) / roots

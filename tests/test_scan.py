@@ -188,6 +188,34 @@ class TestMarginDecreasesInQ:
         assert v1.margin >= v2.margin - 1e-9 * max(1.0, abs(v2.lhs))
 
 
+class TestMarginDecreasesInM:
+    """Every margin decreases in m too (scan's module docstring), in each
+    (criterion, variant) form; ROADMAP item 10's kappa region rests on it."""
+
+    @pytest.mark.parametrize(
+        "cid, variant", [(cid, v) for cid in CriterionId for v in ("paper", "rederived", "direct")]
+    )
+    @given(
+        ms=st.lists(st.floats(1.0, 50.0), min_size=2, max_size=2, unique=True).map(sorted),
+        q=st.floats(-14.0, math.log10(0.999)).map(lambda e: 10.0**e),
+        xi=st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True),
+        gamma=st.floats(0.0, 1.0, exclude_max=True),
+        rho=st.floats(0.0, 1.0, exclude_max=True),
+        tau=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_subnormal=False),
+        vartheta=st.floats(0.0, 1.0, exclude_min=True),
+        delta=st.floats(-10.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_margin_decreases_in_m(self, cid, variant, ms, q, xi, gamma, rho, tau, vartheta, delta):
+        c = SpiralClassParams(xi, gamma, rho)
+        r = RTauParams(tau, vartheta, delta)
+        try:
+            v1, v2 = (evaluate_criterion(cid, PascalParams(m, q), c, r, variant) for m in ms)
+        except (SummationDivergenceError, ZeroDivisionError, OverflowError):
+            reject()  # the large-m defects of ROADMAP item 5
+        assert v1.margin >= v2.margin - 1e-9 * max(1.0, abs(v2.lhs))
+
+
 class TestScan:
     def test_singleton_grid_matches_critical_q(self):
         rows = scan(

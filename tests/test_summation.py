@@ -17,6 +17,7 @@ from pascal_spiral import (
     sum_S1,
     sum_S2,
     sum_Sinv,
+    sum_J,
 )
 
 M_GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
@@ -108,6 +109,72 @@ class TestSinvAtEveryM:
         # y = (m-1)(-ln(1-q)) rounds to 0 here, and -expm1(-y)/y would divide by it
         q = 1e-310
         assert sum_Sinv(PascalParams(1.0 + 2.0**-52, q)) == sum_Sinv(PascalParams(1.0, q))
+
+
+def _j_50_digits(m, q, vartheta):
+    """sum_J from the hypergeometric identity
+    sum_{k>=0} (m)_k q^k/(k! (1 + vartheta k)) = 2F1(m, a; a+1; q), a = 1/vartheta."""
+    with mpmath.workdps(50):
+        m, q, a = mpmath.mpf(m), mpmath.mpf(q), 1 / mpmath.mpf(vartheta)
+        return (1 - q) ** m * (mpmath.hyp2f1(m, a, a + 1, q) - 1)
+
+
+Q_TOP = 1.0 - 2.0**-7
+
+
+class TestSumJ:
+    """sum_J, the R^tau-weighted NB sum that starts the lambda roots."""
+
+    def test_matches_50_digits(self):
+        # m - 1 log-uniform in [1e-7, 11], q log-uniform in [1e-12, 1 - 2^-7],
+        # vartheta uniform in [0.05, 1]: 400 cases, worst 4.5e-16 relative
+        rng = random.Random(20)
+        worst = 0.0
+        for _ in range(400):
+            m = 1.0 + 10.0 ** rng.uniform(-7.0, math.log10(11.0))
+            q = 10.0 ** rng.uniform(-12.0, math.log10(Q_TOP))
+            vartheta = rng.uniform(0.05, 1.0)
+            ref = _j_50_digits(m, q, vartheta)
+            got = sum_J(PascalParams(m, q), vartheta)
+            worst = max(worst, float(abs(got - ref) / ref))
+        assert worst <= 4e-15
+
+    @pytest.mark.parametrize("m, q, vartheta", [
+        (12.0, Q_TOP, 1.0), (11.5, 0.99, 1.0), (12.0, Q_TOP, 0.9), (12.0, 0.9, 1.0),
+    ])
+    def test_alternating_terms_stay_within_the_cancellation_limit(self, m, q, vartheta):
+        # m > 1/vartheta + 1: the first terms alternate, and cancel by up to
+        # CANCELLATION_LIMIT; 4.8e-14, 7.2e-14, 2.2e-14, 4.5e-15 relative
+        ref = _j_50_digits(m, q, vartheta)
+        got = sum_J(PascalParams(m, q), vartheta)
+        assert abs(got - ref) <= summation.CANCELLATION_LIMIT * 2.0**-52 * ref
+
+    @pytest.mark.parametrize("m, q", [(1.0, 0.3), (1.5, 1e-9), (2.5, 0.6), (7.0, 0.9)])
+    def test_vartheta_one_is_scaled_sinv(self, m, q):
+        p = PascalParams(m, q)
+        assert sum_J(p, 1.0) == pytest.approx((1.0 - q) ** m * sum_Sinv(p), rel=1e-14)
+
+    def test_vanishing_vartheta_gives_one_minus_t(self):
+        # 1/(1 + vartheta k) -> 1, and J -> P(X >= 1) = 1 - (1-q)^m
+        p = PascalParams(2.0, 0.4)
+        assert sum_J(p, 1e-300) == pytest.approx(1.0 - 0.6**2, rel=1e-15)
+
+    def test_q_zero(self):
+        assert sum_J(PascalParams(3.0, 0.0), 0.5) == 0.0
+
+    @pytest.mark.parametrize("m, q, vartheta", [
+        (600.0, 0.5, 1.0),  # alternating terms of about 1e100
+        (2000.0, 0.9, 1.0),  # alternating terms past the float range
+        (2.0, 0.5, 5e-324),  # a = 1/vartheta is inf
+    ])
+    def test_cancelling_sums_are_refused(self, m, q, vartheta):
+        with pytest.raises(FloatingPointError, match="sum_J cancels"):
+            sum_J(PascalParams(m, q), vartheta)
+
+    def test_refuses_past_the_term_cap(self):
+        # about 37/(1-q) = 3.7e10 terms at q = 1 - 1e-9
+        with pytest.raises(SummationDivergenceError):
+            sum_J(PascalParams(1.5, 1.0 - 1e-9), 0.5)
 
 
 class TestOracle:
