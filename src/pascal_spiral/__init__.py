@@ -17,10 +17,7 @@ from .series import (
     hadamard_convolve,
     identity_series,
     integral_transform,
-    pascal_coefficient,
     pascal_coefficients,
-    pascal_pmf,
-    rtau_coefficient_bound,
     theta_series,
 )
 from .summation import (
@@ -40,7 +37,6 @@ from .criteria import (
     SpiralClassParams,
     Verdict,
     corollary,
-    deficiency,
     discrepancy_report,
     evaluate_all,
     evaluate_criterion,
@@ -69,12 +65,11 @@ __all__ = [
     "PascalParams", "PowerSeries", "RTauParams",
     "adaptive_truncation_order", "evaluate", "evaluate_d1", "evaluate_d2",
     "extremal_rtau_series", "hadamard_convolve", "identity_series",
-    "integral_transform", "pascal_coefficient", "pascal_coefficients",
-    "pascal_pmf", "rtau_coefficient_bound", "theta_series",
+    "integral_transform", "pascal_coefficients", "theta_series",
     "IdentityReport", "SummationDivergenceError", "all_identity_reports",
     "identity_report", "oracle_sum", "sum_S0", "sum_S1", "sum_S2", "sum_Sinv",
     "sum_J",
-    "CriterionId", "SpiralClassParams", "Verdict", "corollary", "deficiency",
+    "CriterionId", "SpiralClassParams", "Verdict", "corollary",
     "discrepancy_report", "evaluate_all", "evaluate_criterion", "weight_K",
     "weight_S",
     "DenominatorError", "DiskGrid", "DiskReport", "convex_spiral_functional",

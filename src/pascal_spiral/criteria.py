@@ -47,7 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .series import PascalParams, PowerSeries, RTauParams, rtau_bound
+from .series import PascalParams, RTauParams, rtau_bound
 from .summation import CANCELLATION_LIMIT, oracle_sum, sum_J, sum_Sinv
 
 
@@ -116,16 +116,6 @@ def weight_S(n, c: SpiralClassParams):
 def weight_K(n, c: SpiralClassParams):
     """Convex-side weight: n times weight_S."""
     return n * weight_S(n, c)
-
-
-def deficiency(f: PowerSeries, c: SpiralClassParams, family: str = "S") -> float:
-    """sum of weight(n)|a_n| over the stored (truncated) coefficients minus
-    (1-gamma); membership is sufficient when <= 0."""
-    if family not in ("S", "K"):
-        raise ValueError(f"family must be 'S' or 'K', got {family!r}")
-    n = np.arange(2.0, f.order + 1.0)
-    w = weight_S(n, c) if family == "S" else weight_K(n, c)
-    return float(np.sum(w * np.abs(f.coeffs)) - (1.0 - c.gamma))
 
 
 def _rtau_prefactor(r: RTauParams) -> float:

@@ -1,5 +1,5 @@
-"""Pascal-distribution power series: pmf, coefficients, truncated series,
-convolution, the integral transform, and coefficient bounds for the
+"""Pascal-distribution power series: the coefficients, truncated series,
+convolution, the integral transform, and the coefficient bound of the
 bounded-turning-type class R^tau."""
 from __future__ import annotations
 
@@ -65,37 +65,15 @@ class RTauParams:
             raise ValueError(f"delta must be finite and < 1, got {self.delta}")
 
 
-def _pmf_prefix(p: PascalParams, k_max: int) -> np.ndarray:
-    """P(x = 0), ..., P(x = k_max) = c_1..c_{k_max+1} of the recurrence from
-    c_1 = (1-q)^m: a rising-factorial product (m)(m+1)...(m+k-1)/k! that
-    stays finite for real m and avoids factorial overflow."""
-    blocks = coefficient_blocks(p.m, p.q, (1.0 - p.q) ** p.m, k_max + 1, n0=1)
-    return np.concatenate([coeffs for *_, coeffs in blocks])
-
-
-def pascal_pmf(k: int, p: PascalParams) -> float:
-    """P(x = k) = C(k+m-1, m-1) q^k (1-q)^m."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return float(_pmf_prefix(p, k)[-1])
-
-
-def pascal_coefficient(n: int, p: PascalParams) -> float:
-    """n-th series coefficient phi_n = C(n+m-2, m-1) q^{n-1} (1-q)^m, n >= 2.
-
-    Identical to pascal_pmf(n-1, p) by index shift; sharing the code path is
-    deliberate (the equality is relied on exactly)."""
-    if n < 2:
-        raise ValueError(f"coefficient index must be >= 2, got {n}")
-    return pascal_pmf(n - 1, p)
-
-
 def pascal_coefficients(p: PascalParams, n_max: int) -> np.ndarray:
-    """phi_n for n = 2..n_max as an array, via the same recurrence as
-    pascal_pmf (bitwise-identical values)."""
+    """phi_n = C(n+m-2, m-1) q^{n-1} (1-q)^m = P(X = n-1), X ~ NB(m, q), for
+    n = 2..n_max: the one walk of the recurrence from c_1 = P(X = 0) =
+    (1-q)^m, a rising-factorial product (m)(m+1)...(m+k-1)/k! that stays
+    finite for real m and avoids factorial overflow."""
     if n_max < 2:
         return np.empty(0)
-    return _pmf_prefix(p, n_max - 1)[1:]
+    blocks = coefficient_blocks(p.m, p.q, (1.0 - p.q) ** p.m, n_max, n0=1)
+    return np.concatenate([coeffs for *_, coeffs in blocks])[1:]
 
 
 class PowerSeries:
@@ -123,13 +101,6 @@ class PowerSeries:
     def order(self) -> int:
         """Truncation order N (N = 1 for the identity series z)."""
         return self._coeffs.size + 1
-
-    def coefficient(self, n: int) -> complex:
-        if n == 1:
-            return 1.0 + 0.0j
-        if 2 <= n <= self.order:
-            return complex(self._coeffs[n - 2])
-        raise IndexError(f"coefficient index {n} outside 1..{self.order}")
 
     def __repr__(self):
         return f"PowerSeries(order={self.order})"
@@ -209,7 +180,7 @@ def adaptive_truncation_order(
         raise ValueError("radius must be in (0, 1]")
     if p.q == 0.0:
         return 2
-    term = pascal_coefficient(2, p) * radius**2
+    term = float(pascal_coefficients(p, 2)[0]) * radius**2
     for n0, _, ratios, terms in coefficient_blocks(p.m, radius * p.q, term, cap):
         done = geometric_tail(terms, ratios[:-1]) < threshold
         if done.any():
@@ -245,14 +216,6 @@ def rtau_bound(n, r: RTauParams):
     """2|tau|(1-delta)/(1+vartheta(n-1)), vectorised in n; unchecked, for
     callers whose n >= 2 by construction."""
     return 2.0 * abs(r.tau) * (1.0 - r.delta) / (1.0 + r.vartheta * (n - 1.0))
-
-
-def rtau_coefficient_bound(n: int, r: RTauParams) -> float:
-    """Sharp coefficient bound 2|tau|(1-delta)/(1+vartheta(n-1)) for members
-    of R^tau(vartheta, delta), n >= 2."""
-    if n < 2:
-        raise ValueError(f"coefficient index must be >= 2, got {n}")
-    return rtau_bound(n, r)
 
 
 def extremal_rtau_series(r: RTauParams, order: int) -> PowerSeries:

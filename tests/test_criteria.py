@@ -8,16 +8,12 @@ import pytest
 from pascal_spiral import (
     CriterionId,
     PascalParams,
-    PowerSeries,
     RTauParams,
     SpiralClassParams,
     corollary,
-    deficiency,
     discrepancy_report,
     evaluate_all,
     evaluate_criterion,
-    identity_series,
-    theta_series,
     weight_K,
     weight_S,
 )
@@ -62,23 +58,6 @@ class TestWeights:
         c = SpiralClassParams(0.7, 0.2, 0.4)
         n = np.arange(2.0, 50.0)
         assert np.all(np.diff(weight_S(n, c)) > 0)
-
-
-class TestDeficiency:
-    def test_identity_series(self):
-        c = SpiralClassParams(0.3, 0.4, 0.2)
-        assert deficiency(identity_series(), c, "S") == -(1 - 0.4)
-
-    def test_constructed_tight_case(self):
-        c = SpiralClassParams(0.3, 0.4, 0.2)
-        f = PowerSeries([(1 - c.gamma) / weight_S(2, c)])
-        assert abs(deficiency(f, c, "S")) < 1e-15
-
-    def test_matches_direct_criterion_sign(self):
-        p = PascalParams(1, 0.2)
-        f = theta_series(p)
-        assert deficiency(f, FLAT, "S") < 0
-        assert evaluate_criterion(CriterionId.THETA_IN_S, p, FLAT).satisfied
 
 
 class TestCriterionExamples:

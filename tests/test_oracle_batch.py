@@ -25,7 +25,7 @@ from pascal_spiral import (
     discrepancy_report,
     evaluate_criterion,
     oracle_sum,
-    pascal_coefficient,
+    pascal_coefficients,
     weight_K,
     weight_S,
 )
@@ -499,7 +499,7 @@ def _loop_truncation_order(p, threshold, radius, cap):
     if p.q == 0.0:
         return 2
     m, q = p.m, p.q
-    term = pascal_coefficient(2, p) * radius**2
+    term = float(pascal_coefficients(p, 2)[0]) * radius**2
     n = 2
     while n <= cap:
         rhat = radius * q * (n + m - 1.0) / n

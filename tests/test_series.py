@@ -18,13 +18,10 @@ from pascal_spiral import (
     hadamard_convolve,
     identity_series,
     integral_transform,
-    pascal_coefficient,
     pascal_coefficients,
-    pascal_pmf,
-    rtau_coefficient_bound,
     theta_series,
 )
-from pascal_spiral.series import geometric_tail, order_blocks
+from pascal_spiral.series import geometric_tail, order_blocks, rtau_bound
 
 
 class TestPascalParams:
@@ -51,52 +48,41 @@ class TestPascalParams:
 
 
 class TestPmf:
-    def test_k0_reduces_to_failure_mass(self):
-        assert pascal_pmf(0, PascalParams(2, 0.5)) == 0.25
+    """phi_n = P(X = n-1) for X ~ NB(m, q); P(X = 0) = (1-q)^m is the mass
+    the coefficients leave out."""
 
     def test_hand_value_k1(self):
-        assert pascal_pmf(1, PascalParams(1, 0.5)) == pytest.approx(0.25, abs=0)
+        assert pascal_coefficients(PascalParams(1, 0.5), 2)[0] == 0.25
 
     def test_normalization(self):
         p = PascalParams(3, 0.4)
-        total = sum(pascal_pmf(k, p) for k in range(201))
+        total = (1.0 - p.q) ** p.m + sum(pascal_coefficients(p, 201))
         assert abs(total - 1.0) < 1e-12
 
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            pascal_pmf(-1, PascalParams(1, 0.5))
-
     @given(
-        k=st.integers(min_value=0, max_value=60),
+        k=st.integers(min_value=1, max_value=60),
         m=st.floats(min_value=1.0, max_value=20.0),
         q=st.floats(min_value=0.0, max_value=0.95),
     )
     @settings(max_examples=60, deadline=None)
     def test_is_probability(self, k, m, q):
-        v = pascal_pmf(k, PascalParams(m, q))
+        v = pascal_coefficients(PascalParams(m, q), k + 1)[-1]
         assert 0.0 <= v <= 1.0
 
 
 class TestCoefficients:
     def test_hand_values(self):
-        assert pascal_coefficient(2, PascalParams(1, 0.5)) == 0.25
-        assert pascal_coefficient(3, PascalParams(2, 0.5)) == 0.1875
+        assert pascal_coefficients(PascalParams(1, 0.5), 2)[0] == 0.25
+        assert pascal_coefficients(PascalParams(2, 0.5), 3)[1] == 0.1875
 
     def test_zero_for_q_zero(self):
-        p = PascalParams(4, 0.0)
-        assert all(pascal_coefficient(n, p) == 0.0 for n in range(2, 8))
-
-    def test_index_shift_identity_exact(self):
-        for m in (1.0, 1.5, 3.0):
-            p = PascalParams(m, 0.37)
-            for n in range(2, 40):
-                assert pascal_coefficient(n, p) == pascal_pmf(n - 1, p)
+        assert np.all(pascal_coefficients(PascalParams(4, 0.0), 7) == 0.0)
 
     def test_vectorised_matches_scalar_bitwise(self):
         p = PascalParams(2.5, 0.6)
         arr = pascal_coefficients(p, 50)
         for n in range(2, 51):
-            assert arr[n - 2] == pascal_coefficient(n, p)
+            assert arr[n - 2].tobytes() == pascal_coefficients(p, n)[-1].tobytes()
 
 
 class TestThetaSeries:
@@ -106,13 +92,12 @@ class TestThetaSeries:
 
     def test_hand_values(self):
         f = theta_series(PascalParams(1, 0.5), 3)
-        assert f.coefficient(2) == 0.25
-        assert f.coefficient(3) == 0.125
+        assert list(f.coeffs) == [0.25, 0.125]
 
     def test_coefficient_ratio_tends_to_q(self):
         p = PascalParams(2, 0.3)
         f = theta_series(p, 500)
-        ratio = abs(f.coefficient(500) / f.coefficient(499))
+        ratio = abs(f.coeffs[500 - 2] / f.coeffs[499 - 2])
         assert abs(ratio - p.q) < 1e-3
 
     def test_default_order_is_adaptive(self):
@@ -123,18 +108,13 @@ class TestThetaSeries:
 class TestPowerSeries:
     def test_first_coefficient_fixed(self):
         f = PowerSeries([0.5, 0.25])
-        assert f.coefficient(1) == 1.0
+        assert evaluate_d1(f, 0.0) == 1.0
         assert f.order == 3
 
     def test_coeffs_read_only(self):
         f = PowerSeries([0.5])
         with pytest.raises(ValueError):
             f.coeffs[0] = 2.0
-
-    def test_index_out_of_range(self):
-        f = PowerSeries([0.5])
-        with pytest.raises(IndexError):
-            f.coefficient(3)
 
     @pytest.mark.parametrize("zero", [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
     def test_hash_agrees_with_eq_on_signed_zeros(self, zero):
@@ -184,12 +164,12 @@ class TestIntegralTransform:
 
     def test_divides_by_index(self):
         out = integral_transform(PowerSeries([0.25]))
-        assert out.coefficient(2) == 0.125
+        assert out.coeffs[0] == 0.125
 
     def test_theta_hand_values(self):
         out = integral_transform(theta_series(PascalParams(1, 0.5), 3))
-        assert out.coefficient(2) == 0.125
-        assert abs(out.coefficient(3) - 0.125 / 3) < 1e-16
+        assert out.coeffs[0] == 0.125
+        assert abs(out.coeffs[1] - 0.125 / 3) < 1e-16
 
     def test_round_trip_recovers_coefficients(self):
         f = theta_series(PascalParams(2.5, 0.6), 60)
@@ -255,20 +235,20 @@ class TestRTau:
             RTauParams(delta=-math.inf)
 
     def test_bound_hand_value(self):
-        assert rtau_coefficient_bound(2, RTauParams(1.0, 1.0, 0.0)) == 1.0
+        assert rtau_bound(2, RTauParams(1.0, 1.0, 0.0)) == 1.0
 
     def test_bound_decays(self):
         r = RTauParams(1.0, 1.0, 0.0)
-        assert rtau_coefficient_bound(1000, r) < 0.01
+        assert rtau_bound(1000, r) < 0.01
 
     def test_bound_vanishes_as_delta_to_one(self):
         r = RTauParams(1.0, 1.0, 1.0 - 1e-9)
-        assert rtau_coefficient_bound(2, r) < 1e-8
+        assert rtau_bound(2, r) < 1e-8
 
     def test_extremal_series_hand_values(self):
         f = extremal_rtau_series(RTauParams(1.0, 1.0, 0.0), 3)
-        assert f.coefficient(2) == 1.0
-        assert abs(f.coefficient(3) - 2.0 / 3.0) < 1e-16
+        assert f.coeffs[0] == 1.0
+        assert abs(f.coeffs[1] - 2.0 / 3.0) < 1e-16
 
     def test_extremal_series_monotone(self):
         f = extremal_rtau_series(RTauParams(0.8, 0.4, 0.1), 30)
@@ -284,7 +264,7 @@ class TestAdaptiveTruncation:
     def test_tail_actually_small(self):
         p = PascalParams(2, 0.6)
         n = adaptive_truncation_order(p)
-        tail = sum(pascal_coefficient(k, p) for k in range(n + 1, n + 2000))
+        tail = sum(pascal_coefficients(p, n + 1999)[n - 1:])
         assert tail < 1e-13
 
     def test_q_zero_minimal(self):
@@ -293,8 +273,8 @@ class TestAdaptiveTruncation:
 
 def _pmf_prefix_reference(p, k_max):
     """P(x = 0..k_max) by one cumprod of the recurrence's factors, kept as
-    the reference for the block walk that pascal_pmf and
-    pascal_coefficients go through."""
+    the reference for the block walk that pascal_coefficients goes
+    through."""
     j = np.arange(1.0, k_max + 1.0)
     factors = np.empty(k_max + 1)
     factors[0] = (1.0 - p.q) ** p.m
@@ -344,9 +324,7 @@ def test_block_walk_equals_the_single_cumprod_bit_for_bit():
         p = _draw(rng)
         k = int(rng.choice([0, 1, 511, 512, 513, rng.integers(0, 40_000)]))
         ref = _pmf_prefix_reference(p, k)
-        assert np.float64(pascal_pmf(k, p)).tobytes() == ref[-1:].tobytes(), (p, k)
-        if k >= 1:
-            assert pascal_coefficients(p, k + 1).tobytes() == ref[1:].tobytes(), (p, k)
+        assert pascal_coefficients(p, k + 1).tobytes() == ref[1:].tobytes(), (p, k)
         for threshold, radius in ((1e-14, 1.0), (1e-10, 0.995)):
             for cap in (1, 2, 513, 514, 100_000):
                 args = (p, threshold, radius, cap)
