@@ -15,7 +15,6 @@ from .series import (
     evaluate_d2,
     extremal_rtau_series,
     hadamard_convolve,
-    identity_series,
     integral_transform,
     pascal_coefficients,
     theta_series,
@@ -64,8 +63,8 @@ from .scan import (
 __all__ = [
     "PascalParams", "PowerSeries", "RTauParams",
     "adaptive_truncation_order", "evaluate", "evaluate_d1", "evaluate_d2",
-    "extremal_rtau_series", "hadamard_convolve", "identity_series",
-    "integral_transform", "pascal_coefficients", "theta_series",
+    "extremal_rtau_series", "hadamard_convolve", "integral_transform",
+    "pascal_coefficients", "theta_series",
     "IdentityReport", "SummationDivergenceError", "all_identity_reports",
     "identity_report", "oracle_sum", "sum_S0", "sum_S1", "sum_S2", "sum_Sinv",
     "sum_J",

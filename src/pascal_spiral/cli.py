@@ -281,7 +281,7 @@ def _build_function(args):
         _finite("m", args.m)
         _finite("q", args.q)
     if args.function == "identity":
-        return series.identity_series(), False
+        return series.PowerSeries(), False
     if args.function == "single":
         return series.PowerSeries([complex(_finite("a2", args.a2))]), False
     p = series.PascalParams(args.m, args.q)
@@ -291,10 +291,9 @@ def _build_function(args):
         return theta, True
     if args.function == "integral":
         return series.integral_transform(theta), True
-    if args.function == "lambda-rtau":
-        r = _rtau_from(args)
-        return series.hadamard_convolve(theta, series.extremal_rtau_series(r, order)), True
-    raise ValueError(f"unknown function {args.function!r}")
+    # lambda-rtau: argparse's choices refuse any other function
+    r = _rtau_from(args)
+    return series.hadamard_convolve(theta, series.extremal_rtau_series(r, order)), True
 
 
 def _cmd_verify_disk(args) -> int:

@@ -227,11 +227,9 @@ def _lhs_closed(
         lhs = _braces_closed(p, c)
     elif cid is CriterionId.LAMBDA_RTAU_IN_S:
         lhs = _rtau_prefactor(r) * _braces_closed(p, c)
-    elif cid is CriterionId.LAMBDA_RTAU_IN_K:
+    else:  # LAMBDA_RTAU_IN_K
         closed = _m1_raw_closed if rederived else _convex_sum_printed
         lhs = _rtau_prefactor(r) * closed(p, c)
-    else:
-        raise ValueError(cid)
     return np.ravel(lhs).tolist()
 
 

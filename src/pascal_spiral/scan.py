@@ -33,11 +33,11 @@ direct margin in exact arithmetic: the rederived form of theta-in-s,
 theta-in-k, integral-in-s and integral-in-k, and for the lambda criteria,
 at every vartheta, criteria._lhs_rtau_exact from summation.sum_J.  The
 closed root is found by the same search on (0, _START_Q_MAX], to a bracket
-below _Q_TOL; its evaluations are not margin evaluations of the variant.
-After the direct margin at Q_MAX, the direct margin at the closed root
-usually meets the stop rule, and that root is returned with
-iterations == 0.  Otherwise that margin, if finite, ends the bracket on
-its side, and the search goes on."""
+below _Q_TOL, before any margin of the variant is evaluated; its
+evaluations are not margin evaluations of the variant.  After the direct
+margin at Q_MAX, the direct margin at the closed root usually meets the
+stop rule, and that root is returned with iterations == 0.  Otherwise that
+margin, if finite, ends the bracket on its side, and the search goes on."""
 from __future__ import annotations
 
 import math
@@ -130,7 +130,7 @@ def critical_q(
         rhs,
         MARGIN_TOL * rhs,
         f"margin of {cid.value} not decreasing in q (variant={variant})",
-        lambda: _closed_root(cid, variant, m, c, r),
+        _closed_root(cid, variant, m, c, r),
     )
 
 
@@ -140,8 +140,9 @@ def _closed_root(cid, variant, m, c, r) -> float | None:
     criteria criteria._lhs_rtau_exact; else None.  It is solved to a
     bracket below _Q_TOL, not to MARGIN_TOL, so that it sits on the direct
     root to rounding.  None too where the closed margin stays positive up to
-    _START_Q_MAX or its search fails: the direct search then runs cold."""
-    if variant != "direct":
+    _START_Q_MAX or its search fails, and for a lambda criterion without r,
+    whose direct margin raises: the direct search then runs cold."""
+    if variant != "direct" or (cid.needs_rtau and r is None):
         return None
     rhs = 1.0 - c.gamma
     # chosen once: cid.needs_rtau costs about as much as a PascalParams
@@ -160,15 +161,15 @@ def _closed_root(cid, variant, m, c, r) -> float | None:
 
 
 def _search(
-    margin, rhs: float, tol: float, rising: str, hint=None, top: float = Q_MAX
+    margin, rhs: float, tol: float, rising: str, q_h=None, top: float = Q_MAX
 ) -> CriticalQ:
     """The zero of margin(q), decreasing from rhs = margin(0) > 0, to
     |margin| <= tol or a bracket below _Q_TOL, on (0, top].
 
-    The margin at top decides the all-q boundary.  Then hint(), if given,
-    may name a start q_h: a margin there of at most tol in size makes q_h
-    the root, after no ITP step, and any other finite margin makes q_h the
-    end of the bracket on its side.  The bracket's upper end halves 1-q:
+    The margin at top decides the all-q boundary.  Then a start q_h, if
+    given: a margin there of at most tol in size makes q_h the root, after
+    no ITP step, and any other finite margin makes q_h the end of the
+    bracket on its side.  The bracket's upper end halves 1-q:
     q = 1 - 2^-k for k = 1, 2, ... above the low end, with the upper end's
     value in place of any q past it, up to the first margin that is <= 0
     (or NaN).  A probe whose margin rises above the one before it by more
@@ -178,7 +179,6 @@ def _search(
     if f_top > 0.0:
         return CriticalQ(top, 0, f_top, BOUNDARY_ALL_Q)
     lo, f_lo, hi, f_hi = 0.0, rhs, top, f_top
-    q_h = hint() if hint else None
     if q_h is not None:
         f_h = margin(q_h)
         if abs(f_h) <= tol:

@@ -105,22 +105,6 @@ class PowerSeries:
     def __repr__(self):
         return f"PowerSeries(order={self.order})"
 
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self._coeffs.shape == other._coeffs.shape and bool(
-            np.all(self._coeffs == other._coeffs)
-        )
-
-    def __hash__(self):
-        # + 0.0 folds -0.0 into 0.0, which __eq__ holds equal
-        return hash((self._coeffs + 0.0).tobytes())
-
-
-def identity_series() -> PowerSeries:
-    """The series f(z) = z."""
-    return PowerSeries()
-
 
 def geometric_tail(term, rhat):
     """Bound |term| rhat/(1-rhat) on the sum after a term of magnitude |term|

@@ -28,7 +28,7 @@ PUBLIC = (
     "all_identity_reports", "convex_spiral_functional", "corollary", "critical_q",
     "default_grid", "discrepancy_report", "evaluate", "evaluate_all",
     "evaluate_criterion", "evaluate_d1", "evaluate_d2", "extremal_rtau_series",
-    "hadamard_convolve", "identity_report", "identity_series", "integral_transform",
+    "hadamard_convolve", "identity_report", "integral_transform",
     "oracle_sum", "pascal_coefficients", "scan", "spiral_functional", "sum_J",
     "sum_S0", "sum_S1", "sum_S2", "sum_Sinv", "theta_series", "verify_on_disk",
     "weight_K", "weight_S",

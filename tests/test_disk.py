@@ -17,7 +17,6 @@ from pascal_spiral import (
     default_grid,
     extremal_rtau_series,
     hadamard_convolve,
-    identity_series,
     integral_transform,
     spiral_functional,
     theta_series,
@@ -59,7 +58,7 @@ class TestGrid:
 class TestSpiralFunctional:
     def test_identity_series_constant(self):
         c = SpiralClassParams(0.4, 0.3, 0.2)
-        v = spiral_functional(identity_series(), 0.2 + 0.5j, c)
+        v = spiral_functional(PowerSeries(), 0.2 + 0.5j, c)
         assert v == pytest.approx((1 - 0.3) * math.cos(0.4), rel=1e-14)
 
     def test_koebe_closed_form(self):
@@ -76,13 +75,13 @@ class TestSpiralFunctional:
 
     def test_rejects_z_outside_disk(self):
         with pytest.raises(ValueError):
-            spiral_functional(identity_series(), 1.0, FLAT)
+            spiral_functional(PowerSeries(), 1.0, FLAT)
 
 
 class TestConvexFunctional:
     def test_identity_series_constant(self):
         c = SpiralClassParams(0.4, 0.3, 0.2)
-        v = convex_spiral_functional(identity_series(), 0.5, c)
+        v = convex_spiral_functional(PowerSeries(), 0.5, c)
         assert v == pytest.approx((1 - 0.3) * math.cos(0.4), rel=1e-14)
 
     def test_convex_example(self):
@@ -133,7 +132,7 @@ class TestSymmetry:
 class TestVerifyOnDisk:
     def test_identity_passes_with_constant_min(self):
         c = SpiralClassParams(0.4, 0.3, 0.2)
-        rep = verify_on_disk(identity_series(), c, "S")
+        rep = verify_on_disk(PowerSeries(), c, "S")
         assert rep.passed
         assert rep.min_value == pytest.approx((1 - 0.3) * math.cos(0.4), rel=1e-12)
         assert rep.points_checked == default_grid().point_count
@@ -186,7 +185,7 @@ class TestVerifyOnDisk:
 
     def test_invalid_family(self):
         with pytest.raises(ValueError):
-            verify_on_disk(identity_series(), FLAT, "X")
+            verify_on_disk(PowerSeries(), FLAT, "X")
 
 
 def _ring_by_ring_verify(f, c, family, grid, tolerance):

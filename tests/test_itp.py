@@ -221,6 +221,20 @@ def test_a_missed_start_is_an_end_of_the_bracket(monkeypatch, offset, probes):
     assert abs(res.q_star - root) <= 1e-9
 
 
+def test_a_start_above_the_first_probe_skips_the_probes_below_it(monkeypatch, cold):
+    # the margin at 0.51 is positive, so the bracket opens at (0.51, 3/4):
+    # its upper end is the first halving probe above the start
+    c = SpiralClassParams(0.0, 0.25, 0.0)
+    root = critical_q(CriterionId.G_IN_S, "direct", 2.0, c).q_star
+    assert abs(root - 0.5657414540908499) <= 1e-11
+    monkeypatch.setattr(scan_module, "_closed_root", lambda *args: 0.51)
+    counted = _Counted(monkeypatch)
+    res = critical_q(CriterionId.G_IN_S, "direct", 2.0, c)
+    assert counted.qs[:3] == [Q_MAX, 0.51, PROBES[1]]
+    assert res.boundary == "" and res.iterations > 0
+    assert abs(res.q_star - root) <= 1e-11
+
+
 def test_a_diverged_margin_at_the_start_is_ignored(monkeypatch):
     # the direct sum diverges at the probe 1 - 2^-12 (test_root_next_to_the_inf_end):
     # a start there leaves the cold search's bracket as it was

@@ -269,7 +269,7 @@ class TestScan:
         rows = scan(
             CriterionId.LAMBDA_RTAU_IN_S, "direct", (2.0,), (0.0,), (0.0,), (0.0,)
         )
-        assert rows[0].error != ""
+        assert "requires R^tau parameters" in rows[0].error
         rows = scan(
             CriterionId.LAMBDA_RTAU_IN_S,
             "direct",
