@@ -36,8 +36,8 @@ closed root is found by the same search on (0, _START_Q_MAX], to a bracket
 below _Q_TOL, before any margin of the variant is evaluated; its
 evaluations are not margin evaluations of the variant.  After the direct
 margin at Q_MAX, the direct margin at the closed root usually meets the
-stop rule, and that root is returned with iterations == 0.  Otherwise that
-margin, if finite, ends the bracket on its side, and the search goes on."""
+stop rule, and that root is returned with iterations == 0; otherwise the
+start is dropped, and the search runs as it does with no start."""
 from __future__ import annotations
 
 import math
@@ -45,7 +45,8 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 from .criteria import (
-    CriterionId, SpiralClassParams, _lhs_closed, _lhs_rtau_exact, evaluate_criterion,
+    CriterionId, SpiralClassParams, _lhs_closed, _lhs_rtau_exact, _rtau_prefactor,
+    evaluate_criterion,
 )
 from .series import PascalParams, RTauParams
 from .summation import SummationDivergenceError
@@ -108,10 +109,15 @@ def _margin(cid, variant, m, q, c, r) -> float:
     try:
         return evaluate_criterion(cid, PascalParams(m, q), c, r, variant).margin
     except SummationDivergenceError:
-        # the direct sum did not meet its tail bound by the order cap; -inf
-        # is a convention for "unsatisfied", not a bound: at q = Q_MAX the
-        # scaled partial sum is about (1e-9)^m times the raw one, tiny, and
-        # a bounded lhs can sit here too (ROADMAP item 4: enclosures)
+        # the direct sum did not meet its tail bound by the order cap.  The
+        # lambda-in-s lhs E[h(X)] stays below sup h = 2|tau|(1-delta) A/vartheta,
+        # so 1-gamma minus that, if positive, bounds the margin at every q.
+        # Otherwise -inf is a convention for "unsatisfied", not a bound: the
+        # bounded integral-in-s lhs can sit here too (ROADMAP items 4, 13)
+        if cid is CriterionId.LAMBDA_RTAU_IN_S:
+            bound = 1.0 - c.gamma - _rtau_prefactor(r) * c.slope
+            if bound > 0.0:
+                return bound
         return -math.inf
 
 
@@ -167,33 +173,24 @@ def _search(
     |margin| <= tol or a bracket below _Q_TOL, on (0, top].
 
     The margin at top decides the all-q boundary.  Then a start q_h, if
-    given: a margin there of at most tol in size makes q_h the root, after
-    no ITP step, and any other finite margin makes q_h the end of the
-    bracket on its side.  The bracket's upper end halves 1-q:
-    q = 1 - 2^-k for k = 1, 2, ... above the low end, with the upper end's
-    value in place of any q past it, up to the first margin that is <= 0
-    (or NaN).  A probe whose margin rises above the one before it by more
-    than _MONOTONE_SLACK raises NonMonotoneMarginError(rising).  iterations
-    counts the ITP steps, one margin evaluation each, after the probes."""
+    given, whose margin is at most tol in size is the root, after no ITP
+    step; any other start is dropped.  The bracket's upper end halves 1-q:
+    q = 1 - 2^-k for k = 1, 2, ..., with top's value in place of any q past
+    it, up to the first margin that is <= 0 (or NaN).  A probe whose margin
+    rises above the one before it by more than _MONOTONE_SLACK raises
+    NonMonotoneMarginError(rising).  iterations counts the ITP steps, one
+    margin evaluation each, after the probes."""
     f_top = margin(top)
     if f_top > 0.0:
         return CriticalQ(top, 0, f_top, BOUNDARY_ALL_Q)
-    lo, f_lo, hi, f_hi = 0.0, rhs, top, f_top
     if q_h is not None:
         f_h = margin(q_h)
         if abs(f_h) <= tol:
             return CriticalQ(q_h, 0, f_h)
-        if math.isfinite(f_h):  # the -inf of a diverged sum says nothing
-            if f_h > 0.0:
-                lo, f_lo = q_h, f_h
-            else:
-                hi, f_hi = q_h, f_h
-    gap = 0.5
-    while 1.0 - gap <= lo:
-        gap *= 0.5
+    lo, f_lo, gap = 0.0, rhs, 0.5
     while True:
-        q = min(1.0 - gap, hi)
-        f = f_hi if q == hi else margin(q)
+        q = min(1.0 - gap, top)
+        f = f_top if q == top else margin(q)
         if f > f_lo + _MONOTONE_SLACK:
             raise NonMonotoneMarginError(rising)
         if not f > 0.0:  # a NaN margin closes the bracket too

@@ -205,45 +205,36 @@ def test_a_start_where_its_sums_cancel_hits_or_is_none(cid, m, vartheta):
     assert q_h is None or (res.q_star, res.iterations) == (q_h, 0)
 
 
-@pytest.mark.parametrize("offset, probes", [(0.01, 0), (-0.01, 1)])
-def test_a_missed_start_is_an_end_of_the_bracket(monkeypatch, offset, probes):
-    # a start above the root closes the bracket (0, q_h) at once; one below
-    # it opens (q_h, 1/2), its upper end the first halving probe past q_h
-    c = SpiralClassParams(0.4, 0.25, 0.3)
-    root = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, c).q_star
-    q_h = root + offset
+@pytest.mark.parametrize("cid, m, c, start", [
+    pytest.param(
+        CriterionId.THETA_IN_K, 1.5, SpiralClassParams(0.4, 0.25, 0.3),
+        lambda root: root + 0.01, id="above-the-root",
+    ),
+    pytest.param(
+        CriterionId.THETA_IN_K, 1.5, SpiralClassParams(0.4, 0.25, 0.3),
+        lambda root: root - 0.01, id="below-the-root",
+    ),
+    pytest.param(
+        CriterionId.G_IN_S, 2.0, SpiralClassParams(0.0, 0.25, 0.0),
+        lambda root: 0.51, id="above-the-first-probe",
+    ),
+    # the direct sum diverges at the probe 1 - 2^-12 (test_root_next_to_the_inf_end)
+    pytest.param(
+        CriterionId.G_IN_S, 1.0, SpiralClassParams(0.0, 4e-4, 0.0),
+        lambda root: PROBES[11], id="where-the-sum-diverges",
+    ),
+])
+def test_a_missed_start_leaves_the_cold_search(monkeypatch, cold, cid, m, c, start):
+    # a start whose margin misses the stop rule is dropped after its one
+    # evaluation: the search then takes the cold search's probes and steps
+    counted = _Counted(monkeypatch)
+    res_cold = critical_q(cid, "direct", m, c)
+    cold_qs, counted.qs = counted.qs, []
+    q_h = start(res_cold.q_star)
     monkeypatch.setattr(scan_module, "_closed_root", lambda *args: q_h)
-    counted = _Counted(monkeypatch)
-    res = critical_q(CriterionId.THETA_IN_K, "direct", 1.5, c)
-    assert counted.qs[:2 + probes] == [Q_MAX, q_h, *PROBES[:probes]]
-    assert len(counted.qs) == 2 + probes + res.iterations and res.iterations > 0
-    assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma)
-    assert abs(res.q_star - root) <= 1e-9
-
-
-def test_a_start_above_the_first_probe_skips_the_probes_below_it(monkeypatch, cold):
-    # the margin at 0.51 is positive, so the bracket opens at (0.51, 3/4):
-    # its upper end is the first halving probe above the start
-    c = SpiralClassParams(0.0, 0.25, 0.0)
-    root = critical_q(CriterionId.G_IN_S, "direct", 2.0, c).q_star
-    assert abs(root - 0.5657414540908499) <= 1e-11
-    monkeypatch.setattr(scan_module, "_closed_root", lambda *args: 0.51)
-    counted = _Counted(monkeypatch)
-    res = critical_q(CriterionId.G_IN_S, "direct", 2.0, c)
-    assert counted.qs[:3] == [Q_MAX, 0.51, PROBES[1]]
-    assert res.boundary == "" and res.iterations > 0
-    assert abs(res.q_star - root) <= 1e-11
-
-
-def test_a_diverged_margin_at_the_start_is_ignored(monkeypatch):
-    # the direct sum diverges at the probe 1 - 2^-12 (test_root_next_to_the_inf_end):
-    # a start there leaves the cold search's bracket as it was
-    c = SpiralClassParams(0.0, 4e-4, 0.0)
-    monkeypatch.setattr(scan_module, "_closed_root", lambda *args: PROBES[11])
-    counted = _Counted(monkeypatch)
-    res = critical_q(CriterionId.G_IN_S, "direct", 1.0, c)
-    assert counted.qs[:14] == [Q_MAX, PROBES[11], *PROBES[:12]]
-    assert PROBES[10] < res.q_star < PROBES[11]
+    res = critical_q(cid, "direct", m, c)
+    assert counted.qs == [Q_MAX, q_h, *cold_qs[1:]]
+    assert res == res_cold
 
 
 @pytest.mark.parametrize("closed_lhs", [

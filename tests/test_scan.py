@@ -1,3 +1,4 @@
+import cmath
 import importlib
 import math
 
@@ -91,6 +92,20 @@ class TestCriticalQ:
         assert math.isclose(margin, 1.0 - c.gamma, rel_tol=1e-6)
         rederived = critical_q(cid, "rederived", 8.12, c, r).q_star
         assert rederived <= critical_q(cid, "direct", 8.12, c, r).q_star
+
+    @pytest.mark.parametrize("m, c, r", [
+        (2.0, FLAT, RTauParams(0.3, 1.0, 0.0)),
+        (5.5, SpiralClassParams(0.7, 0.3, 0.4), RTauParams(cmath.rect(0.02, 2.0), 0.3, -2.0)),
+        (1.00005, SpiralClassParams(-1.2, 0.6, 0.2), RTauParams(0.01 - 0.02j, 0.8, 0.5)),
+    ])
+    def test_direct_lambda_in_s_finds_no_false_root(self, m, c, r):
+        # the lhs stays below its limit 2|tau|(1-delta) A/vartheta, which is
+        # below 1 - gamma here: the direct sum that diverges at Q_MAX gives
+        # that bound, not -inf, so no q is a root
+        res = critical_q(CriterionId.LAMBDA_RTAU_IN_S, "direct", m, c, r)
+        bound = 1.0 - c.gamma - 2.0 * abs(r.tau) * (1.0 - r.delta) / r.vartheta * c.slope
+        assert bound > 0.0
+        assert res == CriticalQ(SCAN_MODULE.Q_MAX, 0, bound, BOUNDARY_ALL_Q)
 
     def test_root_where_the_margin_is_tiny_in_scale(self):
         # 1-gamma = 1e-7 and |tau| = 1e-7 scale the whole margin down, so
