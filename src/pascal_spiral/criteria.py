@@ -122,6 +122,15 @@ def _rtau_prefactor(r: RTauParams) -> float:
     return 2.0 * abs(r.tau) * (1.0 - r.delta) / r.vartheta
 
 
+def _lhs_limit(cid: CriterionId, c: SpiralClassParams, r: RTauParams | None) -> float:
+    """The lhs's limit as q -> 1 in every variant: the sup of its weight."""
+    if cid is CriterionId.G_IN_S:
+        return c.slope
+    if cid is CriterionId.LAMBDA_RTAU_IN_S:
+        return _rtau_prefactor(r) * c.slope
+    return math.inf
+
+
 def _spiral_sum_closed(p: PascalParams, c: SpiralClassParams) -> float:
     d = (1.0 - p.q) ** (p.m + 1.0)
     if d == 0.0:

