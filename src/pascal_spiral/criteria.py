@@ -27,6 +27,12 @@ convex class (theta-in-s / integral-in-k), the raw coefficient sum is
 rearranged by an exact monotone transform so that all three variants report
 the same left-hand scale; the satisfied flag is unchanged by this.
 
+Theta's coefficients are phi_n = P(X = n-1), X ~ NB(m, q), so each closed
+form combines the moments P(X >= 1), E[X], E[X(X-1)] and P(X = 0) of
+summation._nb_moments, with sum_Sinv for integral-in-s and lambda-in-s.  The
+printed convex form keeps its printed coefficients, each printed factor being
+the moment it names.
+
 For the convolution criteria (lambda-in-s / lambda-in-k) the closed forms
 replace the R^tau bound 1/(1+vartheta(n-1)) by the larger 1/(vartheta n), so
 they equal direct only at vartheta = 1 and are upper bounds otherwise; at
@@ -48,7 +54,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .series import PascalParams, RTauParams, rtau_bound
-from .summation import CANCELLATION_LIMIT, oracle_sum, sum_J, sum_Sinv
+from .summation import CANCELLATION_LIMIT, _nb_moments, oracle_sum, sum_J, sum_Sinv
 
 
 @dataclass(frozen=True)
@@ -131,55 +137,6 @@ def _lhs_limit(cid: CriterionId, c: SpiralClassParams, r: RTauParams | None) -> 
     return math.inf
 
 
-def _spiral_sum_closed(p: PascalParams, c: SpiralClassParams) -> float:
-    d = (1.0 - p.q) ** (p.m + 1.0)
-    if d == 0.0:
-        # (1-q)^(m+1) underflows at large m; raise as a float division does,
-        # where numpy would return inf for a batch of classes
-        raise ZeroDivisionError("float division by zero")
-    return c.slope * p.q * p.m / d
-
-
-def _convex_sum_printed(p: PascalParams, c: SpiralClassParams) -> float:
-    # the published convex-side closed form, reproduced verbatim
-    s, g, rho = c.sec_xi, c.gamma, c.rho
-    m, q = p.m, p.q
-    t = (1.0 - q) ** m
-    return (
-        ((1.0 - rho) * s + (1.0 - g)) * m * (m + 1.0) * q**2 / (1.0 - q) ** 2
-        + (2.0 * (1.0 - rho) * s + (1.0 - g) * (4.0 - rho)) * m * q / (1.0 - q)
-        + (1.0 - g) * (2.0 - rho) * (1.0 - t)
-    )
-
-
-def _convex_sum_rederived(p: PascalParams, c: SpiralClassParams) -> float:
-    # expansion n*weight_S(n) = A(n-1)(n-2) + (2A + 1-gamma)(n-1) + (1-gamma)
-    a = c.slope
-    g = c.gamma
-    m, q = p.m, p.q
-    t = (1.0 - q) ** m
-    return (
-        a * m * (m + 1.0) * q**2 / (1.0 - q) ** 2
-        + (2.0 * a + 1.0 - g) * m * q / (1.0 - q)
-        + (1.0 - g) * (1.0 - t)
-    )
-
-
-def _braces_closed(p: PascalParams, c: SpiralClassParams) -> float:
-    # sum of (1/n)*weight_S(n)*phi_n in closed form
-    t = (1.0 - p.q) ** p.m
-    g_inv = t * sum_Sinv(p)
-    return c.slope * (1.0 - t) + (1.0 - c.rho) * (
-        1.0 - c.gamma - c.sec_xi
-    ) * g_inv
-
-
-def _m1_raw_closed(p: PascalParams, c: SpiralClassParams) -> float:
-    # sum of weight_S(n)*phi_n in closed form (unnormalised)
-    t = (1.0 - p.q) ** p.m
-    return c.slope * p.q * p.m / (1.0 - p.q) + (1.0 - c.gamma) * (1.0 - t)
-
-
 def _lhs_rtau_exact(
     cid: CriterionId, p: PascalParams, c: SpiralClassParams, r: RTauParams
 ) -> float:
@@ -196,15 +153,14 @@ def _lhs_rtau_exact(
     (x + y)/(x - y), about 1 + 2/vartheta here at small q.  Where the
     product of these factors passes CANCELLATION_LIMIT (lambda-in-k at
     small q below vartheta = 0.032), it raises FloatingPointError."""
-    m, q, theta = p.m, p.q, r.vartheta
+    theta = r.vartheta
     a, b = c.slope, 1.0 - c.gamma
-    u = -math.expm1(m * math.log1p(-q))
+    u, v, _, _ = _nb_moments(p)
     j0 = sum_J(p, theta)
     j1 = (u - j0) / theta
     loss = (u + j0) / (u - j0)
     lhs = a * j1 + b * j0
     if cid is CriterionId.LAMBDA_RTAU_IN_K:
-        v = m * q / (1.0 - q)
         j2 = (v - j1) / theta
         loss *= (v + j1) / (v - j1)
         lhs = a * j2 + (a + b) * j1 + b * j0
@@ -227,18 +183,35 @@ def _lhs_closed(
     cid: CriterionId, p: PascalParams, c, r: RTauParams | None, rederived: bool
 ) -> list[float]:
     """Closed-form lhs of c, one SpiralClassParams or the _columns of several
-    classes, one value per class."""
+    classes, one value per class, from the NB moments m0 = P(X >= 1),
+    m1 = E[X], m2 = E[X(X-1)] and t = P(X = 0) of summation._nb_moments."""
+    m0, m1, m2, t = _nb_moments(p)
     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
-        lhs = _spiral_sum_closed(p, c)
-    elif cid is CriterionId.THETA_IN_K:
-        lhs = _convex_sum_rederived(p, c) if rederived else _convex_sum_printed(p, c)
-    elif cid is CriterionId.G_IN_S:
-        lhs = _braces_closed(p, c)
-    elif cid is CriterionId.LAMBDA_RTAU_IN_S:
-        lhs = _rtau_prefactor(r) * _braces_closed(p, c)
-    else:  # LAMBDA_RTAU_IN_K
-        closed = _m1_raw_closed if rederived else _convex_sum_printed
-        lhs = _rtau_prefactor(r) * closed(p, c)
+        # the raw sum E[X]/t, divided on floats: a t that underflows at large
+        # m raises ZeroDivisionError for one class and a batch alike
+        lhs = c.slope * (m1 / t)
+    elif cid in (CriterionId.G_IN_S, CriterionId.LAMBDA_RTAU_IN_S):
+        lhs = c.slope * m0 + (1.0 - c.rho) * (1.0 - c.gamma - c.sec_xi) * (t * sum_Sinv(p))
+        if cid is CriterionId.LAMBDA_RTAU_IN_S:
+            lhs = _rtau_prefactor(r) * lhs
+    else:  # THETA_IN_K, LAMBDA_RTAU_IN_K
+        b = 1.0 - c.gamma
+        if not rederived:
+            # the published convex-side closed form, its coefficients verbatim
+            s, rho = c.sec_xi, c.rho
+            lhs = (
+                ((1.0 - rho) * s + b) * m2
+                + (2.0 * (1.0 - rho) * s + b * (4.0 - rho)) * m1
+                + b * (2.0 - rho) * m0
+            )
+        elif cid is CriterionId.THETA_IN_K:
+            # n weight_S(n) = A(n-1)(n-2) + (2A + B)(n-1) + B
+            a = c.slope
+            lhs = a * m2 + (2.0 * a + b) * m1 + b * m0
+        else:
+            lhs = c.slope * m1 + b * m0
+        if cid is CriterionId.LAMBDA_RTAU_IN_K:
+            lhs = _rtau_prefactor(r) * lhs
     return np.ravel(lhs).tolist()
 
 

@@ -2,9 +2,12 @@
 brute-force truncated-summation oracle.
 
 Convention: every sum here but sum_J is the *raw* coefficient sum
-sum_{n>=2} w(n) C(n+m-2, m-1) q^{n-1}, without the (1-q)^m factor.  Criteria
-code applies that factor explicitly.  sum_J carries it, because its raw sum
-overflows at large m where the scaled one does not.
+sum_{n>=2} w(n) C(n+m-2, m-1) q^{n-1}, without the (1-q)^m factor.  The
+coefficients (1-q)^m C(n+m-2, m-1) q^{n-1} are P(X = n-1), X ~ NB(m, q), so
+sum_S0, sum_S1 and sum_S2 are the moments P(X >= 1), E[X] and E[X(X-1)] of
+_nb_moments divided by P(X = 0) = (1-q)^m.  Criteria code applies that
+factor explicitly.  sum_J carries it, because its raw sum overflows at large
+m where the scaled one does not.
 """
 from __future__ import annotations
 
@@ -131,20 +134,37 @@ def _oracle_result(values, orders, scalar):
     return np.array(values, dtype=float), sum(orders)
 
 
+def _nb_moments(p: PascalParams) -> tuple[float, float, float, float]:
+    """(P(X >= 1), E[X], E[X(X-1)], P(X = 0)) of X ~ NB(m, q), the one place
+    these moments are written.  P(X >= 1) is -expm1(m log1p(-q)), since
+    1 - (1-q)^m cancels as q -> 0."""
+    m, q = p.m, p.q
+    d = 1.0 - q
+    return (
+        -math.expm1(m * math.log1p(-q)),
+        m * q / d,
+        m * (m + 1.0) * q**2 / d**2,
+        d**m,
+    )
+
+
 def sum_S0(p: PascalParams) -> float:
     """sum_{n>=2} C(n+m-2, m-1) q^{n-1} = (1-q)^{-m} - 1."""
-    return (1.0 - p.q) ** (-p.m) - 1.0
+    m0, _, _, t = _nb_moments(p)
+    return m0 / t
 
 
 def sum_S1(p: PascalParams) -> float:
     """sum_{n>=2} (n-1) C(n+m-2, m-1) q^{n-1} = q m / (1-q)^{m+1}."""
-    return p.q * p.m / (1.0 - p.q) ** (p.m + 1.0)
+    _, m1, _, t = _nb_moments(p)
+    return m1 / t
 
 
 def sum_S2(p: PascalParams) -> float:
     """sum_{n>=2} (n-1)(n-2) C(n+m-2, m-1) q^{n-1}
     = q^2 m(m+1) / (1-q)^{m+2}."""
-    return p.q**2 * p.m * (p.m + 1.0) / (1.0 - p.q) ** (p.m + 2.0)
+    _, _, m2, t = _nb_moments(p)
+    return m2 / t
 
 
 def sum_Sinv(p: PascalParams) -> float:

@@ -9,6 +9,8 @@ cases were re-pinned when --format human became the json payload rendered
 by one function.  After an intended change of that output, re-pin with
 
     PYTHONPATH=src python tests/test_cli_contract.py
+
+which prints the name of each case whose bytes it changed, one per line.
 """
 import contextlib
 import io
@@ -175,7 +177,10 @@ def test_out_file_holds_the_stdout_bytes(fmt, expected, tmp_path):
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(
-        json.dumps({case: _run(argv) for case, argv in CASES.items()}, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    # re-pin, naming each case whose bytes changed, one per line
+    pinned = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    cases = {case: _run(argv) for case, argv in CASES.items()}
+    for case, result in cases.items():
+        if pinned.get(case) != result:
+            print(case)
+    FIXTURE.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

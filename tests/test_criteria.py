@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -163,6 +164,59 @@ class TestCorollary:
         a = corollary(CriterionId.THETA_IN_S, p, c, variant="paper")
         b = corollary(CriterionId.G_IN_K, p, c, variant="paper")
         assert a.lhs == b.lhs
+
+
+def _closed_50_digits(cid, m, q, c, r, rederived):
+    """The paper or rederived closed lhs of cid at 50 digits, written as
+    printed, in powers of 1-q."""
+    with mpmath.workdps(50):
+        m, q = mpmath.mpf(m), mpmath.mpf(q)
+        s, g, rho = mpmath.sec(c.xi), mpmath.mpf(c.gamma), mpmath.mpf(c.rho)
+        a, b = (1 - rho) * s + rho * (1 - g), 1 - g
+        m0, m1 = 1 - (1 - q) ** m, m * q / (1 - q)
+        m2 = m * (m + 1) * q**2 / (1 - q) ** 2
+        if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
+            return a * q * m / (1 - q) ** (m + 1)
+        if not rederived:
+            lhs = ((1 - rho) * s + b) * m2 + (2 * (1 - rho) * s + b * (4 - rho)) * m1
+            lhs += b * (2 - rho) * m0
+        elif cid is CriterionId.THETA_IN_K:
+            lhs = a * m2 + (2 * a + b) * m1 + b * m0
+        else:
+            lhs = a * m1 + b * m0
+        if cid is CriterionId.LAMBDA_RTAU_IN_K:
+            lhs *= 2 * abs(mpmath.mpmathify(r.tau)) * (1 - mpmath.mpf(r.delta)) / r.vartheta
+        return lhs
+
+
+@pytest.mark.parametrize("cid", [
+    CriterionId.THETA_IN_S, CriterionId.G_IN_K, CriterionId.THETA_IN_K, CriterionId.LAMBDA_RTAU_IN_K,
+])
+def test_closed_forms_match_50_digits(cid):
+    # m log-uniform in [1, 100] or 1 + log-uniform in [1e-7, 0.1], q
+    # log-uniform in [1e-10, 0.05] or uniform in [0.05, 0.995].  P(X >= 1)
+    # taken as 1 - (1-q)^m cancels as q -> 0, and puts the convex forms up
+    # to 2.8e-7 relative off over 3,000 such draws.
+    # integral-in-s and lambda-in-s take sum_Sinv, whose final - q cancels at
+    # small q (the strict xfail test_sum_sinv_is_accurate_at_small_q, ROADMAP
+    # item 5), and are left out
+    rng = random.Random(26)
+    for _ in range(400):
+        if rng.random() < 0.5:
+            m = 10.0 ** rng.uniform(0.0, 2.0)
+        else:
+            m = 1.0 + 10.0 ** rng.uniform(-7.0, -1.0)
+        if rng.random() < 0.5:
+            q = 10.0 ** rng.uniform(-10.0, math.log10(0.05))
+        else:
+            q = rng.uniform(0.05, 0.995)
+        c = SpiralClassParams(rng.uniform(-1.5, 1.5), rng.uniform(0.0, 0.99), rng.uniform(0.0, 0.99))
+        tau = cmath.rect(10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+        r = RTauParams(tau, rng.uniform(0.05, 1.0), rng.uniform(-1.0, 0.9))
+        for variant in ("paper", "rederived"):
+            want = _closed_50_digits(cid, m, q, c, r, variant == "rederived")
+            got = evaluate_criterion(cid, PascalParams(m, q), c, r, variant).lhs
+            assert abs(got - want) <= 1e-13 * want, (variant, m, q, c, r)
 
 
 class TestExactRtauLhs:

@@ -61,6 +61,37 @@ class TestClosedForms:
             assert abs(a - b) <= 1e-6
 
 
+def _draw_m_q(rng):
+    """m log-uniform in [1, 100] or 1 + log-uniform in [1e-7, 0.1], and q
+    log-uniform in [1e-10, 0.05] or uniform in [0.05, 0.995], each half the
+    draws."""
+    if rng.random() < 0.5:
+        m = 10.0 ** rng.uniform(0.0, 2.0)
+    else:
+        m = 1.0 + 10.0 ** rng.uniform(-7.0, -1.0)
+    if rng.random() < 0.5:
+        return m, 10.0 ** rng.uniform(-10.0, math.log10(0.05))
+    return m, rng.uniform(0.05, 0.995)
+
+
+def test_S0_to_S2_match_50_digits():
+    # sum_S0 taken as (1-q)^-m - 1 cancels as q -> 0: up to 1.1e-6 relative
+    # off over 3,000 such draws
+    rng = random.Random(26)
+    for _ in range(2000):
+        m, q = _draw_m_q(rng)
+        with mpmath.workdps(50):
+            mm, qq = mpmath.mpf(m), mpmath.mpf(q)
+            want = (
+                (1 - qq) ** -mm - 1,
+                qq * mm / (1 - qq) ** (mm + 1),
+                qq**2 * mm * (mm + 1) / (1 - qq) ** (mm + 2),
+            )
+        for fn, ref in zip((sum_S0, sum_S1, sum_S2), want):
+            got = fn(PascalParams(m, q))
+            assert abs(got - ref) <= 1e-13 * ref, (fn.__name__, m, q)
+
+
 def _sinv_50_digits(m, q):
     """sum_Sinv as (L expm1(y)/y - q)/q, L = -log1p(-q), y = (m-1)L, at 50
     digits; only the final - q cancels, and at q >= 1e-12 it costs at most
