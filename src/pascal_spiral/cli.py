@@ -17,17 +17,20 @@ import math
 import sys
 
 from . import criteria, disk, series, summation
-from .scan import scan as run_scan
+from .scan import ScanRow, scan as run_scan
 
-SCAN_CSV_COLUMNS = (
-    "criterion", "variant", "m", "xi", "gamma", "rho",
-    "q_star", "iterations", "residual_margin",
+# ScanRow's fields but boundary and error, which the csv contract leaves out
+SCAN_CSV_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(ScanRow) if f.name not in ("boundary", "error")
 )
 
-# theorems 1-6 in the order CriterionId declares them; corollaries are their
-# rho = 0 specialisations, in the same order
-_CRITERION_ALIASES = {f"thm{i}": cid.value for i, cid in enumerate(criteria.CriterionId, 1)}
-_COROLLARY_ALIASES = {f"cor{i}": cid.value for i, cid in enumerate(criteria.CriterionId, 1)}
+# name -> (CriterionId, force_rho_zero): thm1-thm6 in the order CriterionId
+# declares them, and cor1-cor6, their rho = 0 specialisations
+_CRITERIA = {
+    name: (cid, rho0)
+    for i, cid in enumerate(criteria.CriterionId, 1)
+    for name, rho0 in ((cid.value, False), (f"thm{i}", False), (f"cor{i}", True))
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,11 +151,14 @@ def _emit(args, payload: dict, columns, records, status: int = 0) -> int:
     """Write one command's result in the --format it asked for, to --out or
     stdout, and return the command's exit status.
 
-    payload is the json object and, through _human, the human text.  The csv
-    table has the header columns and one row record[col] for col in columns
-    per record, mostly the records of the payload itself.  csv.writer writes
-    floats with repr(), which is the csv contract's number format; a cell
-    that needs another format arrives as a string."""
+    payload is the json object less its first key, "command", which _emit
+    takes from the parser (args.command); it is also, through _human, the
+    human text.  The csv table has the header columns and one row
+    record[col] for col in columns per record, mostly the records of the
+    payload itself.  csv.writer writes floats with repr(), which is the csv
+    contract's number format; a cell that needs another format arrives as a
+    string."""
+    payload = {"command": args.command, **payload}
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
@@ -172,23 +178,16 @@ def _emit(args, payload: dict, columns, records, status: int = 0) -> int:
 
 
 def _xi_radians(args) -> float:
-    return math.radians(args.xi) if getattr(args, "degrees", False) else args.xi
+    return math.radians(args.xi) if args.degrees else args.xi
 
 
 def _resolve_criterion(name: str):
     """Returns (CriterionId, force_rho_zero)."""
-    key = name.lower()
-    if key in _COROLLARY_ALIASES:
-        return criteria.CriterionId(_COROLLARY_ALIASES[key]), True
-    key = _CRITERION_ALIASES.get(key, key)
     try:
-        return criteria.CriterionId(key), False
-    except ValueError:
-        valid = sorted(
-            list(_CRITERION_ALIASES) + list(_COROLLARY_ALIASES)
-            + [cid.value for cid in criteria.CriterionId]
-        )
-        raise ValueError(f"unknown criterion {name!r} (valid: {', '.join(valid)})")
+        return _CRITERIA[name.lower()]
+    except KeyError:
+        valid = ", ".join(sorted(_CRITERIA))
+        raise ValueError(f"unknown criterion {name!r} (valid: {valid})") from None
 
 
 def _rtau_from(args) -> series.RTauParams:
@@ -208,7 +207,6 @@ def _cmd_coeffs(args) -> int:
     return _emit(
         args,
         {
-            "command": "coeffs",
             **dataclasses.asdict(p),
             "rows": [{"n": n, "phi_n": float(v)} for n, v in phis],
         },
@@ -222,7 +220,7 @@ def _cmd_identities(args) -> int:
     reports = [dataclasses.asdict(rep) for rep in summation.all_identity_reports(p)]
     return _emit(
         args,
-        {"command": "identities", **dataclasses.asdict(p), "identities": reports},
+        {**dataclasses.asdict(p), "identities": reports},
         [field.name for field in dataclasses.fields(summation.IdentityReport)],
         reports,
     )
@@ -247,7 +245,6 @@ def _cmd_check(args) -> int:
     return _emit(
         args,
         {
-            "command": "check",
             "criterion": cid.value,
             "params": {
                 **dataclasses.asdict(p),
@@ -304,7 +301,6 @@ def _cmd_verify_disk(args) -> int:
         f, c, args.family, grid, tolerance=1e-6, tail_check=tail_check
     )
     payload = {
-        "command": "verify-disk",
         "function": args.function,
         "family": args.family,
         # the raw --m/--q, echoed even for functions that ignore them
@@ -334,7 +330,7 @@ def _cmd_scan(args) -> int:
     r = _rtau_from(args) if cid.needs_rtau else None
     rows = run_scan(cid, args.variant, args.m_grid, xi_grid, args.gamma_grid, rho_grid, r=r)
     records = [dataclasses.asdict(row) for row in rows]
-    return _emit(args, {"command": "scan", "rows": records}, SCAN_CSV_COLUMNS, records)
+    return _emit(args, {"rows": records}, SCAN_CSV_COLUMNS, records)
 
 
 def _cmd_discrepancy(args) -> int:
@@ -349,7 +345,7 @@ def _cmd_discrepancy(args) -> int:
     )
     return _emit(
         args,
-        {"command": "discrepancy-report", **report},
+        report,
         criteria.DISCREPANCY_FIELDS,
         report["flagged_rows"],
     )

@@ -53,65 +53,52 @@ _STRING = {"type": "string"}
 _OBJECT = {"type": "object"}
 _COMPLEX = _record({"re": _NUMBER, "im": _NUMBER})
 
-COEFFS_SCHEMA = _payload("coeffs", {
-    "m": _NUMBER,
-    "q": _NUMBER,
-    "rows": {"type": "array", "items": _record({"n": _INTEGER, "phi_n": _NUMBER})},
-})
-
-IDENTITIES_SCHEMA = _payload("identities", {
-    "m": _NUMBER,
-    "q": _NUMBER,
-    "identities": {"type": "array", "items": _record(
-        {**_fields(IdentityReport), "identity_id": {"enum": list(IDENTITY_IDS)}}
-    )},
-})
-
 _VERDICT = _record({**_fields(Verdict), "variant": {"enum": list(VARIANTS)}})
 
-CHECK_SCHEMA = _payload("check", {
-    "criterion": _STRING,
-    "params": _OBJECT,
-    # --variant picks which verdicts appear, so none is required
-    "verdicts": {
-        "type": "object",
-        "properties": {variant: _VERDICT for variant in VARIANTS},
-        "additionalProperties": False,
+# each subcommand's json output; _payload adds the command const
+SCHEMAS = {command: _payload(command, properties) for command, properties in {
+    "coeffs": {
+        "m": _NUMBER,
+        "q": _NUMBER,
+        "rows": {"type": "array", "items": _record({"n": _INTEGER, "phi_n": _NUMBER})},
     },
-    "disagreement": {"type": ["number", "null"]},
-})
-
-VERIFY_DISK_SCHEMA = _payload("verify-disk", {
-    "function": _STRING,
-    "family": {"enum": ["S", "K"]},
-    "params": _OBJECT,
-    "pass": {"type": "boolean"},
-    "min_value": _NUMBER,
-    "witness": _COMPLEX,
-    "points_checked": _INTEGER,
-    "note": _STRING,
-})
-
-SCAN_SCHEMA = _payload("scan", {
-    # every row carries boundary and error, empty where unset
-    "rows": {"type": "array", "items": _record(_fields(ScanRow))},
-})
-
-DISCREPANCY_SCHEMA = _payload("discrepancy-report", {
-    "threshold": _NUMBER,
-    "points_checked": _INTEGER,
-    "flagged_counts": {"type": "object", "additionalProperties": _INTEGER},
-    "flagged_rows": {"type": "array", "items": _record({
-        field: _STRING if field == "criterion" else _NUMBER
-        for field in DISCREPANCY_FIELDS
-    })},
-})
-
-SCHEMAS = {
-    "coeffs": COEFFS_SCHEMA,
-    "identities": IDENTITIES_SCHEMA,
-    "check": CHECK_SCHEMA,
-    "verify-disk": VERIFY_DISK_SCHEMA,
-    "scan": SCAN_SCHEMA,
-    "discrepancy-report": DISCREPANCY_SCHEMA,
-}
+    "identities": {
+        "m": _NUMBER,
+        "q": _NUMBER,
+        "identities": {"type": "array", "items": _record(
+            {**_fields(IdentityReport), "identity_id": {"enum": list(IDENTITY_IDS)}}
+        )},
+    },
+    "check": {
+        "criterion": _STRING,
+        "params": _OBJECT,
+        # --variant picks which verdicts appear, so none is required
+        "verdicts": {
+            "type": "object",
+            "properties": {variant: _VERDICT for variant in VARIANTS},
+            "additionalProperties": False,
+        },
+        "disagreement": {"type": ["number", "null"]},
+    },
+    "verify-disk": {
+        "function": _STRING,
+        "family": {"enum": ["S", "K"]},
+        "params": _OBJECT,
+        "pass": {"type": "boolean"},
+        "min_value": _NUMBER,
+        "witness": _COMPLEX,
+        "points_checked": _INTEGER,
+        "note": _STRING,
+    },
+    # every scan row carries boundary and error, empty where unset
+    "scan": {"rows": {"type": "array", "items": _record(_fields(ScanRow))}},
+    "discrepancy-report": {
+        "threshold": _NUMBER,
+        "points_checked": _INTEGER,
+        "flagged_counts": {"type": "object", "additionalProperties": _INTEGER},
+        "flagged_rows": {"type": "array", "items": _record({
+            field: _STRING if field == "criterion" else _NUMBER
+            for field in DISCREPANCY_FIELDS
+        })},
+    },
+}.items()}

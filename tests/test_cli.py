@@ -5,7 +5,7 @@ import sys
 import jsonschema
 import pytest
 
-from pascal_spiral.cli import _COROLLARY_ALIASES, _CRITERION_ALIASES, SCAN_CSV_COLUMNS
+from pascal_spiral.cli import _CRITERIA, SCAN_CSV_COLUMNS
 from pascal_spiral.schemas import SCHEMAS
 
 
@@ -104,8 +104,10 @@ def test_theorem_and_corollary_numbers():
         "theta-in-s", "theta-in-k", "lambda-in-s", "lambda-in-k",
         "integral-in-k", "integral-in-s",
     )
-    assert _CRITERION_ALIASES == {f"thm{i}": name for i, name in enumerate(names, 1)}
-    assert _COROLLARY_ALIASES == {f"cor{i}": name for i, name in enumerate(names, 1)}
+    want = {}
+    for i, name in enumerate(names, 1):
+        want.update({name: (name, False), f"thm{i}": (name, False), f"cor{i}": (name, True)})
+    assert {key: (cid.value, rho0) for key, (cid, rho0) in _CRITERIA.items()} == want
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ import pytest
 from pascal_spiral import cli
 from pascal_spiral.criteria import CriterionId, SpiralClassParams, evaluate_criterion
 from pascal_spiral.disk import DiskReport, default_grid, verify_on_disk
+from pascal_spiral.scan import MARGIN_TOL, critical_q
 from pascal_spiral.series import (
     PascalParams,
     SummationDivergenceError,
@@ -100,6 +101,24 @@ _NON_FINITE_CHECK = pytest.mark.xfail(
             ["check", "thm1", "--m", "2000", "--q", "0.3", "--variant", "all"],
             id="check-all", marks=_NON_FINITE_CHECK,
         ),
+        pytest.param(
+            ["identities", "--m", "2000", "--q", "0.3"],
+            id="identities", marks=pytest.mark.xfail(
+                raises=ValueError,
+                reason="identities at m = 2000, q = 0.3 exits 0 with closed_form "
+                "and truncated Infinity and abs_error NaN for S0, S1 and S2 "
+                "(ROADMAP item 5)",
+            ),
+        ),
+        pytest.param(
+            ["scan", "theta-in-s", "--variant", "rederived", "--m-grid", "1e18"],
+            id="scan-rederived-large-m", marks=pytest.mark.xfail(
+                raises=ValueError,
+                reason="scan at m = 1e18 exits 0 with residual_margin -Infinity: "
+                "the closed lhs divides by (1-q)^m, which underflows to 0 at "
+                "q* = 3.6e-15, and the margin falls back to -inf (ROADMAP item 5)",
+            ),
+        ),
         # the direct lambda-in-s row is satisfied_for_all_q, its residual the
         # finite margin bound
         pytest.param(["scan", "lambda-in-s", "--tau-re", "0.3", "--m-grid", "1"], id="scan-lambda-in-s"),
@@ -112,3 +131,14 @@ def test_check_json_output_is_strict_json(capsys, argv):
     with np.errstate(all="ignore"):
         cli.main(argv + ["--format", "json"])
     json.loads(capsys.readouterr().out, parse_constant=refuse)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="_itp stops on a bracket below the absolute _Q_TOL = 1e-14 before "
+    "|margin| <= MARGIN_TOL: at m = 1e10 the margin is steep in q and the "
+    "root q* = 5.67e-11 is reported with residual_margin 5.6e-5 (ROADMAP item 17)",
+)
+def test_small_roots_through_m_meet_the_margin_tolerance():
+    root = critical_q(CriterionId.THETA_IN_S, "rederived", 1e10, FLAT)
+    assert abs(root.residual_margin) <= MARGIN_TOL

@@ -9,6 +9,7 @@ intended change of a schema, re-pin with
 
     PYTHONPATH=src python tests/test_schemas.py
 """
+import argparse
 import dataclasses
 import json
 import pathlib
@@ -16,7 +17,7 @@ import pathlib
 import jsonschema
 import pytest
 
-from pascal_spiral import schemas
+from pascal_spiral import cli, schemas
 from pascal_spiral.scan import ScanRow
 from pascal_spiral.schemas import SCHEMAS
 
@@ -29,6 +30,16 @@ def _text() -> str:
 
 def test_schemas_match_the_pinned_text():
     assert _text() == FIXTURE.read_text(encoding="utf-8")
+
+
+def test_one_schema_per_subcommand():
+    subparsers = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(SCHEMAS) == set(subparsers.choices)
+    for command, schema in SCHEMAS.items():
+        assert schema["properties"]["command"] == {"const": command}
 
 
 @pytest.mark.parametrize("field", ["boundary", "error"])
