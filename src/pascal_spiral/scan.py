@@ -26,6 +26,21 @@ for integral-in-s, 2|tau|(1-delta) A/vartheta for lambda-in-s, inf for the
 rest, in every variant.  A margin that cannot be evaluated (a sum past its
 cap, a closed form's ArithmeticError) is 1-gamma - L if >= 0, else -inf.
 
+A direct sum near q = 1 is past oracle_sum's reach: at Q_MAX it would need
+about 3.7e10 terms.  Its doomed test fires there only for m - 1 above
+about 1e-4; below that the oracle walks all TRUNCATION_CAP terms before it
+raises, so _margin first tests a certificate that the sum cannot stop, and
+where it holds takes the value above without summing.  Since w >= 0 is
+nondecreasing and every coefficient ratio q(n+m-1)/n is >= q, each term is
+t_n >= t_2 q^(n-2), each partial sum is <= t_n (n-1) q^-(n-2), and the
+oracle's tail bound is >= t_n q/(1-q).  So no order n <= N = TRUNCATION_CAP
+meets the stop rule tail < TAIL_THRESHOLD max(1, |partial|) when
+q^(N-1) >= 2 TAIL_THRESHOLD (1-q)(N-1) and
+w(2) m q q^(N-1) >= 2 TAIL_THRESHOLD (1-q), the 2 being slack for rounding.
+The first covers 1-q up to about 2.8e-4, against the oracle's true reach
+of about 3.6e-4.  The second keeps out a sum whose terms are all tiny (a
+lambda criterion at |tau| near 1e-30), which does stop at once.
+
 At q = 0 the lhs is 0 and the margin 1-gamma > 0, so a root is either
 interior or absent up to Q_MAX, where a margin >= 0 means all q, as in
 Verdict.satisfied.  critical_q brackets it by halving 1-q and finds it by
@@ -51,10 +66,10 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 from .criteria import (
-    CriterionId, SpiralClassParams, _lhs_closed, _lhs_limit, _lhs_rtau_exact,
-    evaluate_criterion,
+    _DIRECT_WEIGHTS, CriterionId, SpiralClassParams, _lhs_closed, _lhs_limit,
+    _lhs_rtau_exact, evaluate_criterion, weight_S,
 )
-from .series import PascalParams, RTauParams
+from .series import TAIL_THRESHOLD, TRUNCATION_CAP, PascalParams, RTauParams
 from .summation import SummationDivergenceError
 
 Q_MAX = 1.0 - 1e-9
@@ -112,14 +127,33 @@ class ScanRow:
 
 
 def _margin(cid, variant, m, q, c, r) -> float:
-    try:
-        return evaluate_criterion(cid, PascalParams(m, q), c, r, variant).margin
-    except (SummationDivergenceError, ArithmeticError):
-        # 1-gamma - L bounds the margin at every q when >= 0 (the module
-        # docstring); -inf otherwise means "unsatisfied", not a bound: the
-        # lhs can still sit below 1-gamma at this q (ROADMAP item 13)
-        bound = 1.0 - c.gamma - _lhs_limit(cid, c, r)
-        return bound if bound >= 0.0 else -math.inf
+    p = PascalParams(m, q)
+    if not (variant == "direct" and _past_oracle_reach(cid, p, c, r)):
+        try:
+            return evaluate_criterion(cid, p, c, r, variant).margin
+        except (SummationDivergenceError, ArithmeticError):
+            pass
+    # 1-gamma - L bounds the margin at every q when >= 0 (the module
+    # docstring); -inf otherwise means "unsatisfied", not a bound: the lhs
+    # can still sit below 1-gamma at this q (ROADMAP item 13)
+    bound = 1.0 - c.gamma - _lhs_limit(cid, c, r)
+    return bound if bound >= 0.0 else -math.inf
+
+
+def _past_oracle_reach(cid, p, c, r) -> bool:
+    """True only where oracle_sum cannot meet its stop rule on the direct
+    sum of cid by TRUNCATION_CAP, so that the sum would raise
+    SummationDivergenceError: the certificate of the module docstring, each
+    side with a factor 2 of slack for rounding.  False for a lambda
+    criterion without r, whose evaluate_criterion raises ValueError."""
+    q, n = p.q, TRUNCATION_CAP - 1.0
+    lead, slack = q**n, 2.0 * TAIL_THRESHOLD * (1.0 - q)
+    # the first test fails at every q below about 1 - 2.8e-4, before the
+    # weight is formed
+    if not lead >= slack * n or (r is None and cid.needs_rtau):
+        return False
+    w2 = _DIRECT_WEIGHTS[cid](2.0, weight_S(2.0, c), r)
+    return w2 * p.m * q * lead >= slack
 
 
 def critical_q(

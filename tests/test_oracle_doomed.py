@@ -265,6 +265,10 @@ def test_doomed_last_term_past_the_float_range_is_inf(state):
 
 
 def test_direct_critical_q_walks_no_block_at_q_max(block_spy, monkeypatch):
+    # the direct sum at Q_MAX is past the oracle's reach, so scan._margin
+    # calls no oracle there: at m = 2.5, where the doomed test would raise at
+    # once, nor at m = 1.00005, where it does not fire and the sum would walk
+    # every block up to the cap
     sampled = []
 
     def recording_oracle_sum(weight, p, *args):
@@ -272,7 +276,10 @@ def test_direct_critical_q_walks_no_block_at_q_max(block_spy, monkeypatch):
         return oracle_sum(weight, p, *args)
 
     monkeypatch.setattr(criteria, "oracle_sum", recording_oracle_sum)
-    critical_q(CriterionId.THETA_IN_S, "direct", 2.5, SpiralClassParams(0.0, 0.0, 0.0))
-    assert Q_MAX in sampled
-    assert [q for q, _ in block_spy.walks if q == Q_MAX] == []
-    assert any(blocks for q, blocks in block_spy.walks if q < Q_MAX)
+    for m in (2.5, 1.00005):
+        sampled.clear()
+        block_spy.walks.clear()
+        critical_q(CriterionId.THETA_IN_S, "direct", m, SpiralClassParams(0.0, 0.0, 0.0))
+        assert sampled and Q_MAX not in sampled, m
+        assert [q for q, _ in block_spy.walks if q == Q_MAX] == [], m
+        assert any(blocks for q, blocks in block_spy.walks if q < Q_MAX), m

@@ -1,6 +1,7 @@
 import cmath
 import importlib
 import math
+import random
 
 import pytest
 from hypothesis import given, reject, settings
@@ -270,6 +271,62 @@ class TestMarginDecreasesInM:
         except (SummationDivergenceError, ZeroDivisionError, OverflowError):
             reject()  # the large-m defects of ROADMAP item 5
         assert v1.margin >= v2.margin - 1e-9 * max(1.0, abs(v2.lhs))
+
+
+class TestPastOracleReach:
+    """scan._margin sums nothing where scan._past_oracle_reach certifies that
+    the direct sum cannot meet the oracle's stop rule by its cap (the module
+    docstring)."""
+
+    def test_certified_sums_diverge(self):
+        # seeded draws over the documented domain, with 1-q in [1e-12, 1e-3]
+        rng, fired, walked = random.Random(28), 0, 0
+        for i in range(300):
+            cid = list(CriterionId)[i % len(CriterionId)]
+            p = PascalParams(
+                1.0 + 10.0 ** rng.uniform(-12.0, math.log10(3e3 - 1.0)),
+                1.0 - 10.0 ** rng.uniform(-12.0, -3.0),
+            )
+            gamma = 1.0 - 10.0 ** rng.uniform(-16.0, 0.0)
+            c = SpiralClassParams(rng.uniform(-1.5, 1.5), gamma, rng.uniform(0.0, 0.99))
+            tau = 10.0 ** rng.uniform(-40.0, 3.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            r = RTauParams(tau, 10.0 ** rng.uniform(-3.0, 0.0), -(10.0 ** rng.uniform(-2.0, 6.0)))
+            if not SCAN_MODULE._past_oracle_reach(cid, p, c, r):
+                continue
+            fired += 1
+            # below about this m the oracle's own doomed test does not fire
+            walked += p.m - 1.0 < (1.0 - p.q) * 1e5
+            with pytest.raises(SummationDivergenceError):
+                evaluate_criterion(cid, p, c, r, "direct")
+        # the draw reaches both kinds of certified sum
+        assert fired >= 150 and walked >= 20, (fired, walked)
+
+    def test_sums_of_tiny_terms_are_not_certified(self):
+        # at m = 1, below the oracle's doomed test, and |tau| = 1e-30, the
+        # lambda sums meet the stop rule: lambda-in-s at once at Q_MAX, so it
+        # holds for all q; lambda-in-k, whose weight grows like n, only past
+        # n ~ q/(1-q), so at 1-q = 1e-5 but not at Q_MAX.  Both pass the
+        # certificate's first test; the second keeps them out
+        r = RTauParams(1e-30, 1.0, 0.0)
+        for cid, q in (
+            (CriterionId.LAMBDA_RTAU_IN_S, SCAN_MODULE.Q_MAX),
+            (CriterionId.LAMBDA_RTAU_IN_K, 1.0 - 1e-5),
+        ):
+            p = PascalParams(1.0, q)
+            assert not SCAN_MODULE._past_oracle_reach(cid, p, FLAT, r), cid
+            margin = evaluate_criterion(cid, p, FLAT, r, "direct").margin
+            assert margin > 0.0, cid
+            assert SCAN_MODULE._margin(cid, "direct", 1.0, q, FLAT, r) == margin, cid
+        res = critical_q(CriterionId.LAMBDA_RTAU_IN_S, "direct", 1.0, FLAT, r)
+        assert res.boundary == BOUNDARY_ALL_Q and res.q_star == SCAN_MODULE.Q_MAX
+        assert critical_q(CriterionId.LAMBDA_RTAU_IN_K, "direct", 1.0, FLAT, r).q_star > 1.0 - 1e-5
+
+    def test_lambda_without_rtau_still_raises(self):
+        # at m = 1 the margin at Q_MAX would be certified for any r, but with
+        # no r it is an error, not the all-q bound
+        c = SpiralClassParams(0.0, 0.5, 0.0)
+        with pytest.raises(ValueError, match="requires R\\^tau parameters"):
+            critical_q(CriterionId.LAMBDA_RTAU_IN_S, "direct", 1.0, c, None)
 
 
 class TestScan:
