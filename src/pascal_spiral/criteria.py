@@ -212,7 +212,8 @@ def _lhs_closed(
             lhs = c.slope * m1 + b * m0
         if cid is CriterionId.LAMBDA_RTAU_IN_K:
             lhs = _rtau_prefactor(r) * lhs
-    return np.ravel(lhs).tolist()
+    # one class's float goes out without a round-trip through numpy
+    return [float(lhs)] if isinstance(c, SpiralClassParams) else np.ravel(lhs).tolist()
 
 
 # each criterion's direct weight from s = weight_S(n, rows): the convex side

@@ -53,16 +53,19 @@ A direct root first tries the root of a closed margin that equals the
 direct margin in exact arithmetic: the rederived form of theta-in-s,
 theta-in-k, integral-in-s and integral-in-k, and for the lambda criteria,
 at every vartheta, criteria._lhs_rtau_exact from summation.sum_J.  The
-closed root is found by the same search on (0, _START_Q_MAX], to a bracket
-below _Q_TOL, before any margin of the variant is evaluated; its
-evaluations are not margin evaluations of the variant.  After the direct
-margin at Q_MAX, the direct margin at the closed root usually meets the
-stop rule, and that root is returned with iterations == 0; otherwise the
-start is dropped, and the search runs as it does with no start."""
+closed root is found by the same halving walk and ITP on (0, _START_Q_MAX],
+to a bracket below _Q_TOL, before any margin of the variant is evaluated;
+its evaluations are not margin evaluations of the variant.  That walk's
+top is its last probe, reached only when every lower one is positive, so a
+closed form that refuses near q = 1, or sum_J at its dearest there, costs
+nothing to a root below.  After the direct margin at Q_MAX, the direct
+margin at the closed root usually meets the stop rule, and that root is
+returned with iterations == 0; otherwise the start is dropped, and the
+search runs as it does with no start."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 from .criteria import (
@@ -88,9 +91,9 @@ _ITP_KAPPA2 = 2.5
 _ITP_N0 = 1
 _MONOTONE_SLACK = 1e-12
 # the closed search of a direct root's start runs on (0, _START_Q_MAX], up
-# to a halving probe: sum_J needs about 37/(1-q) terms as m -> 1 (4e10 at
-# Q_MAX), and at Q_MAX the closed forms of theta-in-s and integral-in-s
-# raise ZeroDivisionError from m = 35 and 36
+# to a halving probe, its last: sum_J needs about 37/(1-q) terms as m -> 1
+# (4e10 at Q_MAX), and at Q_MAX the closed forms of theta-in-s and
+# integral-in-s raise ZeroDivisionError from m = 35 and 36
 _START_Q_MAX = 1.0 - 2.0**-7
 
 BOUNDARY_ALL_Q = "satisfied_for_all_q"
@@ -180,9 +183,10 @@ def _closed_root(cid, variant, m, c, r) -> float | None:
     direct one in exact arithmetic: the rederived form, or for the lambda
     criteria criteria._lhs_rtau_exact; else None.  It is solved to a
     bracket below _Q_TOL, not to MARGIN_TOL, so that it sits on the direct
-    root to rounding.  None too where the closed margin stays positive up to
-    _START_Q_MAX or its search fails, and for a lambda criterion without r,
-    whose direct margin raises: the direct search then runs cold."""
+    root to rounding.  None too where the closed margin stays positive up
+    to _START_Q_MAX (the walk's all-q) or its search fails, and for a
+    lambda criterion without r, whose direct margin raises: the direct
+    search then runs cold."""
     if variant != "direct" or (cid.needs_rtau and r is None):
         return None
     rhs = 1.0 - c.gamma
@@ -195,39 +199,51 @@ def _closed_root(cid, variant, m, c, r) -> float | None:
             return rhs - _lhs_closed(cid, PascalParams(m, q), c, r, True)[0]
 
     try:
-        res = _search(margin, rhs, 0.0, "closed margin not decreasing in q", top=_START_Q_MAX)
+        res = _walk(margin, rhs, 0.0, "closed margin not decreasing in q", _START_Q_MAX)
     except (ArithmeticError, SummationDivergenceError, NonMonotoneMarginError):
         return None
     return None if res.boundary else res.q_star
 
 
-def _search(
-    margin, rhs: float, tol: float, rising: str, q_h=None, top: float = Q_MAX
-) -> CriticalQ:
+def _search(margin, rhs: float, tol: float, rising: str, q_h=None) -> CriticalQ:
     """The zero of margin(q), decreasing from rhs = margin(0) > 0, to
-    |margin| <= tol or a bracket below _Q_TOL, on (0, top].
+    |margin| <= tol or a bracket below _Q_TOL, on (0, Q_MAX].
 
-    A margin >= 0 at top is the all-q boundary.  Then a start q_h, if
-    given, whose margin is at most tol in size is the root, after no ITP
-    step; any other start is dropped.  The bracket's upper end halves 1-q:
-    q = 1 - 2^-k for k = 1, 2, ..., with top's value in place of any q past
-    it, up to the first margin that is <= 0 (or NaN).  A probe whose margin
-    rises above the one before it by more than _MONOTONE_SLACK raises
-    NonMonotoneMarginError(rising).  iterations counts the ITP steps, one
-    margin evaluation each, after the probes."""
-    f_top = margin(top)
+    The first probe is Q_MAX: a margin >= 0 there is the all-q boundary.
+    Then a start q_h, if given, whose margin is at most tol in size is the
+    root, after no ITP step; any other start is dropped, and _walk brackets
+    the root.  iterations counts the ITP steps, one margin evaluation each,
+    after the probes."""
+    f_top = margin(Q_MAX)
     if f_top >= 0.0:
-        return CriticalQ(top, 0, f_top, BOUNDARY_ALL_Q)
+        return CriticalQ(Q_MAX, 0, f_top, BOUNDARY_ALL_Q)
     if q_h is not None:
         f_h = margin(q_h)
         if abs(f_h) <= tol:
             return CriticalQ(q_h, 0, f_h)
+    return _walk(margin, rhs, tol, rising, Q_MAX, f_top)
+
+
+def _walk(
+    margin, rhs: float, tol: float, rising: str, top: float, f_top: float | None = None
+) -> CriticalQ:
+    """The halving walk of margin(q), decreasing from rhs = margin(0) > 0,
+    on (0, top], then _itp on the bracket it closes.
+
+    The bracket's upper end halves 1-q: q = 1 - 2^-k for k = 1, 2, ..., with
+    top in place of any q past it, up to the first margin that is <= 0 (or
+    NaN).  top is the last probe, and its margin f_top, if given, is not
+    evaluated again; a margin >= 0 there is the all-q boundary.  A probe
+    whose margin rises above the one before it by more than _MONOTONE_SLACK
+    raises NonMonotoneMarginError(rising)."""
     lo, f_lo, gap = 0.0, rhs, 0.5
     while True:
         q = min(1.0 - gap, top)
-        f = f_top if q == top else margin(q)
+        f = f_top if q == top and f_top is not None else margin(q)
         if f > f_lo + _MONOTONE_SLACK:
             raise NonMonotoneMarginError(rising)
+        if q == top and f >= 0.0:
+            return CriticalQ(top, 0, f, BOUNDARY_ALL_Q)
         if not f > 0.0:  # a NaN margin closes the bracket too
             return _itp(margin, lo, q, f_lo, f, tol)
         lo, f_lo, gap = q, f, 0.5 * gap
@@ -292,5 +308,8 @@ def scan(
         # continues, and any other exception is a bug
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             res, error = CriticalQ(0.0, 0, 0.0), str(exc)
-        rows.append(ScanRow(cid.value, variant, m, xi, gamma, rho, **asdict(res), error=error))
+        rows.append(ScanRow(
+            cid.value, variant, m, xi, gamma, rho,
+            res.q_star, res.iterations, res.residual_margin, res.boundary, error,
+        ))
     return rows

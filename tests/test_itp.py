@@ -164,8 +164,20 @@ def test_a_margin_rising_between_probes_is_refused(monkeypatch, cold):
 
 
 # (criterion, m, class, R^tau) whose direct root the closed-form start
+# finds although its closed margin refuses at _START_Q_MAX: (1-q)^m
+# underflows to 0 there from m = 154, and sum_J's terms cancel there in
+# lambda-in-k at m = 20.  These ran cold, with 10, 37, 9 and 7 ITP steps,
+# while the start's search probed its top first
+TOP_REFUSAL_CASES = [
+    (CriterionId.THETA_IN_S, 200.0, SpiralClassParams(0.3, 0.2, 0.1), None),
+    (CriterionId.G_IN_S, 200.0, SpiralClassParams(0.3, 0.2, 0.1), None),
+    (CriterionId.G_IN_K, 300.0, SpiralClassParams(0.3, 0.2, 0.1), None),
+    (CriterionId.LAMBDA_RTAU_IN_K, 20.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.3, 1.0, 0.1)),
+]
+# (criterion, m, class, R^tau) whose direct root the closed-form start
 # finds: theta-in-s and integral-in-s at large m, where the closed forms
-# raise at Q_MAX, and the lambda criteria at vartheta != 1, from sum_J
+# raise at Q_MAX, the lambda criteria at vartheta != 1, from sum_J, and the
+# cases above
 HIT_CASES = [
     (CriterionId.THETA_IN_K, 1.5, SpiralClassParams(0.4, 0.25, 0.3), None),
     *[
@@ -178,6 +190,7 @@ HIT_CASES = [
         for cid in (CriterionId.LAMBDA_RTAU_IN_S, CriterionId.LAMBDA_RTAU_IN_K)
         for vartheta in (0.5, 0.05)
     ],
+    *TOP_REFUSAL_CASES,
 ]
 
 
@@ -191,6 +204,75 @@ def test_a_closed_form_hit_takes_no_itp_step(monkeypatch):
         assert q_h is not None and counted.qs == [Q_MAX, q_h], case
         assert (res.q_star, res.iterations, res.boundary) == (q_h, 0, ""), case
         assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma), case
+
+
+def _closed_margin(cid, m, c, r, q):
+    """The closed margin the start of a direct root solves, at q."""
+    p = PascalParams(m, q)
+    if cid.needs_rtau:
+        return 1.0 - c.gamma - criteria_module._lhs_rtau_exact(cid, p, c, r)
+    return 1.0 - c.gamma - criteria_module._lhs_closed(cid, p, c, r, True)[0]
+
+
+@pytest.mark.parametrize("cid, m, c, r", TOP_REFUSAL_CASES)
+def test_a_start_below_a_refusal_at_its_top_hits(cid, m, c, r, monkeypatch):
+    with pytest.raises(ArithmeticError):
+        _closed_margin(cid, m, c, r, scan_module._START_Q_MAX)
+    res = critical_q(cid, "direct", m, c, r)
+    monkeypatch.setattr(scan_module, "_closed_root", lambda *args: None)
+    res_cold = critical_q(cid, "direct", m, c, r)
+    assert res_cold.iterations > 0
+    assert (res.iterations, res.boundary) == (0, "")
+    assert abs(res.residual_margin) <= scan_module.MARGIN_TOL * (1.0 - c.gamma)
+    assert abs(res.q_star - res_cold.q_star) <= 1e-9
+
+
+@pytest.mark.parametrize("cid, m, c, r", [
+    (CriterionId.THETA_IN_K, 1.5, SpiralClassParams(0.4, 0.25, 0.3), None),
+    (CriterionId.LAMBDA_RTAU_IN_S, 15.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.5, 1.0, 0.0)),
+    (CriterionId.LAMBDA_RTAU_IN_K, 20.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.3, 1.0, 0.1)),
+])
+def test_a_start_below_one_half_never_probes_its_top(cid, m, c, r, monkeypatch):
+    qs = []
+    closed_lhs, rtau_lhs = scan_module._lhs_closed, scan_module._lhs_rtau_exact
+
+    def closed(cid, p, c, r, rederived):
+        qs.append(p.q)
+        return closed_lhs(cid, p, c, r, rederived)
+
+    def rtau(cid, p, c, r):
+        qs.append(p.q)
+        return rtau_lhs(cid, p, c, r)
+
+    monkeypatch.setattr(scan_module, "_lhs_closed", closed)
+    monkeypatch.setattr(scan_module, "_lhs_rtau_exact", rtau)
+    q_h = scan_module._closed_root(cid, "direct", m, c, r)
+    assert q_h is not None and q_h < PROBES[0]
+    # the first probe is q = 1/2, and every evaluation after it lies below
+    assert qs[0] == max(qs) == PROBES[0] < scan_module._START_Q_MAX
+
+
+def test_a_closed_margin_positive_to_its_top_probes_it_once_and_last(monkeypatch):
+    qs = []
+
+    def closed_lhs(cid, p, c, r, rederived):
+        qs.append(p.q)
+        return [0.5]
+
+    monkeypatch.setattr(scan_module, "_lhs_closed", closed_lhs)
+    assert scan_module._closed_root(CriterionId.THETA_IN_S, "direct", 2.0, FLAT, None) is None
+    assert qs == PROBES[:7] and qs[-1] == scan_module._START_Q_MAX
+
+
+def test_the_main_search_decides_all_q_at_q_max_first(monkeypatch):
+    # the margin at Q_MAX is >= 0, and the row all-q, without a halving
+    # probe; a walk from q = 1/2 up finds this paper margin rising
+    counted = _Counted(monkeypatch)
+    c = SpiralClassParams(0.3925524149685584, 0.6612094023794649, 0.9148283170394936)
+    r = RTauParams(0.004414908382574755 - 0.2186923277264532j, 0.342359084621353, 0.7383499154735991)
+    res = critical_q(CriterionId.LAMBDA_RTAU_IN_S, "paper", 89.05079665495222, c, r)
+    assert res.boundary == scan_module.BOUNDARY_ALL_Q
+    assert counted.qs == [Q_MAX]
 
 
 @pytest.mark.parametrize("cid", [CriterionId.LAMBDA_RTAU_IN_S, CriterionId.LAMBDA_RTAU_IN_K])
@@ -239,10 +321,9 @@ def test_a_missed_start_leaves_the_cold_search(monkeypatch, cold, cid, m, c, sta
 
 @pytest.mark.parametrize("closed_lhs", [
     lambda cid, p, c, r, rederived: 1.0 / 0.0,
-    # the margin rises from the probe q = 1/2 to q = 3/4
-    lambda cid, p, c, r, rederived: [
-        {scan_module._START_Q_MAX: 2.0, PROBES[0]: 0.5, PROBES[1]: 0.4}[p.q]
-    ],
+    # the margin rises from the probe q = 1/2 to q = 3/4, the walk's first
+    # two probes
+    lambda cid, p, c, r, rederived: [{PROBES[0]: 0.5, PROBES[1]: 0.4}[p.q]],
     lambda cid, p, c, r, rederived: [0.5],  # satisfied for all q
 ])
 def test_no_start_where_the_closed_search_fails(monkeypatch, closed_lhs):
@@ -324,8 +405,9 @@ def test_seeded_sweep_roots_meet_the_stop_rule_and_match_the_cold_search(monkeyp
 def test_sum_j_evaluations_per_lambda_root(monkeypatch):
     """The start of a direct lambda root calls sum_J once per closed margin,
     outside the benchmark's traced functions, so its count is kept here:
-    over the 75 lambda roots of the seeded sweep above, 816 calls (10.9 per
-    root); more than 13.5 per root means the start's search grew."""
+    over the 75 lambda roots of the seeded sweep above, 741 calls (9.88 per
+    root; 816, 10.9 per root, while the start's search probed its top
+    first); more than 11 per root means the start's search grew."""
     calls = []
     sum_j = criteria_module.sum_J
 
@@ -342,4 +424,4 @@ def test_sum_j_evaluations_per_lambda_root(monkeypatch):
             critical_q(cid, "direct", m, c, r)
             roots += 1
     assert roots >= 60
-    assert len(calls) <= 13.5 * roots, len(calls) / roots
+    assert len(calls) <= 11 * roots, len(calls) / roots

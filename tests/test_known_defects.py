@@ -13,9 +13,10 @@ import pytest
 from pascal_spiral import cli
 from pascal_spiral.criteria import CriterionId, SpiralClassParams, evaluate_criterion
 from pascal_spiral.disk import DiskReport, default_grid, verify_on_disk
-from pascal_spiral.scan import MARGIN_TOL, critical_q
+from pascal_spiral.scan import BOUNDARY_ALL_Q, MARGIN_TOL, critical_q
 from pascal_spiral.series import (
     PascalParams,
+    RTauParams,
     SummationDivergenceError,
     adaptive_truncation_order,
     theta_series,
@@ -142,3 +143,17 @@ def test_check_json_output_is_strict_json(capsys, argv):
 def test_small_roots_through_m_meet_the_margin_tolerance():
     root = critical_q(CriterionId.THETA_IN_S, "rederived", 1e10, FLAT)
     assert abs(root.residual_margin) <= MARGIN_TOL
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="oracle_sum's ratio bound max(1, w(n+1)/w(n)) q(n+m-1)/n stays >= 1 "
+    "up to n = q/(1-q) for a weight that grows like n, so the direct sum cannot "
+    "stop past 1-q = 1e-5 however small its terms; the margin reads -inf there "
+    "and ITP closes on the jump: q* = 0.9999900000926409, residual_margin 1.0, "
+    "31 steps (ROADMAP item 13)",
+)
+def test_direct_lambda_in_k_with_tiny_tau_is_all_q():
+    # the lhs stays below about 1e-20 up to Q_MAX
+    root = critical_q(CriterionId.LAMBDA_RTAU_IN_K, "direct", 1.0, FLAT, RTauParams(1e-30, 1.0, 0.0))
+    assert root.boundary == BOUNDARY_ALL_Q

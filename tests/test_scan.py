@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import importlib
+import itertools
 import math
 import random
 
@@ -343,6 +345,28 @@ class TestScan:
         assert row.iterations == ref.iterations
         assert row.error == ""
 
+    @pytest.mark.parametrize("cid, variant, r", [
+        (CriterionId.THETA_IN_S, "direct", None),
+        (CriterionId.G_IN_S, "paper", None),
+        (CriterionId.LAMBDA_RTAU_IN_K, "direct", RTauParams(0.3, 1.0, 0.1)),
+    ])
+    def test_every_row_field_is_its_critical_q_field(self, cid, variant, r):
+        grids = ((1.0, 3.0, 200.0), (0.0, 0.5), (0.0, 0.5), (0.0, 0.3))
+        rows = scan(cid, variant, *grids, r=r)
+        assert len(rows) == 24
+        for row, (m, xi, gamma, rho) in zip(rows, itertools.product(*grids)):
+            res = critical_q(cid, variant, m, SpiralClassParams(xi, gamma, rho), r)
+            assert (row.criterion, row.variant, row.m, row.xi, row.gamma, row.rho, row.error) == (
+                cid.value, variant, m, xi, gamma, rho, ""
+            )
+            assert {f.name: getattr(row, f.name) for f in dataclasses.fields(CriticalQ)} == (
+                dataclasses.asdict(res)
+            )
+        # integral-in-s is all-q at xi = gamma = 0
+        assert {row.boundary for row in rows} == (
+            {"", BOUNDARY_ALL_Q} if cid is CriterionId.G_IN_S else {""}
+        )
+
     def test_row_order_is_lexicographic(self):
         rows = scan(
             CriterionId.THETA_IN_S, "direct", (1.0, 2.0), (0.0,), (0.0, 0.5), (0.0,)
@@ -414,3 +438,16 @@ class TestScan:
         monkeypatch.setattr(SCAN_MODULE, "critical_q", broken)
         with pytest.raises(TypeError, match="not a numerical failure"):
             scan(CriterionId.THETA_IN_S, "direct", (1.0,), (0.0,), (0.0,), (0.0,))
+
+
+@pytest.mark.parametrize("cid", list(CriterionId))
+@pytest.mark.parametrize("rederived", [False, True])
+def test_one_class_closed_lhs_is_a_plain_float(cid, rederived):
+    # the start of a direct root evaluates one class at a time; its value is
+    # the one a batch of classes gives that class
+    criteria = importlib.import_module("pascal_spiral.criteria")
+    p, c = PascalParams(2.5, 0.4), SpiralClassParams(0.3, 0.2, 0.1)
+    one = criteria._lhs_closed(cid, p, c, RTAU1, rederived)
+    batch = criteria._lhs_closed(cid, p, criteria._columns([c, FLAT]), RTAU1, rederived)
+    assert [type(v) for v in one] == [float]
+    assert one == batch[:1]
