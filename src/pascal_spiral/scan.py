@@ -27,10 +27,11 @@ rest, in every variant.  A margin that cannot be evaluated (a sum past its
 cap, a closed form's ArithmeticError) is 1-gamma - L if >= 0, else -inf.
 
 A direct sum near q = 1 is past oracle_sum's reach: at Q_MAX it would need
-about 3.7e10 terms.  Its doomed test fires there only for m - 1 above
-about 1e-4; below that the oracle walks all TRUNCATION_CAP terms before it
-raises, so _margin first tests a certificate that the sum cannot stop, and
-where it holds takes the value above without summing.  Since w >= 0 is
+about 3.7e10 terms.  The oracle has one way to fail, walking all
+TRUNCATION_CAP terms before it raises, so _margin first tests a certificate
+that the sum cannot stop, and where it holds takes the value above without
+summing.  This is the only early "cannot stop" rule, and it sits here,
+where the monotone weights it needs are known.  Since w >= 0 is
 nondecreasing and every coefficient ratio q(n+m-1)/n is >= q, each term is
 t_n >= t_2 q^(n-2), each partial sum is <= t_n (n-1) q^-(n-2), and the
 oracle's tail bound is >= t_n q/(1-q).  So no order n <= N = TRUNCATION_CAP

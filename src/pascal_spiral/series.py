@@ -13,8 +13,9 @@ TAIL_THRESHOLD = 1e-14
 
 
 class SummationDivergenceError(RuntimeError):
-    """A truncated series or sum (adaptive_truncation_order, oracle_sum) hit
-    the order cap with its geometric tail bound still unmet.
+    """A truncated series or sum (adaptive_truncation_order, oracle_sum,
+    summation.sum_J) hit the order cap with its geometric tail bound still
+    unmet.
 
     Carries the magnitude of the last computed term so callers can
     distinguish a divergent sum from a slowly converging one."""

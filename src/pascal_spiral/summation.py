@@ -26,10 +26,6 @@ from .series import (
 )
 
 
-# a sum is doomed when the coefficient ratio at the cap clears 1 by more
-# than the few ulps that rounding q*(n+m-1)/n can move it at any order
-_DOOMED_RATIO = 1.0 + 8.0 * np.finfo(float).eps
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
 _J_BLOCK = 16384
 # the factor by which terms may cancel in a sum that a closed form takes
@@ -61,29 +57,12 @@ def oracle_sum(
     |t_N| rhat/(1-rhat) < TAIL_THRESHOLD*max(1, |partial|), where rhat
     majorises every remaining term ratio (the coefficient ratio q(n+m-1)/n
     decreases in n for m >= 1).  If a row has not met it by order cap, the
-    first such row raises SummationDivergenceError.
-
-    Doomed sums stop early.  Since the coefficient ratio decreases in n, a
-    ratio >= 1 at n = cap (with a few ulps to spare) makes every ratio up to
-    the cap >= 1; rhat, the ratio times max(1, w(n+1)/w(n)), is then >= 1
-    too, the tail bound is inf at every order, and no row, whatever its
-    weight, can stop.  Such a sum evaluates its weight at the cap only and
-    raises at once, with the last term |w(cap)| c_cap of its first row taken
-    from log-gamma (inf past the float range)."""
+    first such row raises SummationDivergenceError."""
     m, q = p.m, p.q
     if q == 0.0:
         shape = np.shape(weight(np.empty(0)))
         k = 1 if len(shape) == 1 else shape[0]
         return _oracle_result([0.0] * k, [2] * k, len(shape) == 1)
-    # (a cap below 2 has no block to walk, and raises below)
-    if cap >= 2 and q * (cap + m - 1.0) / cap >= _DOOMED_RATIO:
-        # row 0 is the first open row; on Python floats 0 * inf is nan
-        # without a numpy warning
-        w_cap = float(np.ravel(weight(np.array([float(cap)])))[0])
-        log_c = math.lgamma(cap + m - 1.0) - math.lgamma(m) - math.lgamma(cap)
-        log_c += (cap - 1.0) * math.log(q)
-        c_cap = math.exp(log_c) if log_c <= _LOG_FLOAT_MAX else math.inf
-        raise SummationDivergenceError(abs(w_cap) * c_cap, cap)
     blocks = coefficient_blocks(m, q, m * q, cap)
     k = 0  # number of rows, told by the first weight evaluation
     orders = [0]  # orders[i] stays 0 while row i is open

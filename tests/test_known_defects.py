@@ -157,3 +157,18 @@ def test_direct_lambda_in_k_with_tiny_tau_is_all_q():
     # the lhs stays below about 1e-20 up to Q_MAX
     root = critical_q(CriterionId.LAMBDA_RTAU_IN_K, "direct", 1.0, FLAT, RTauParams(1e-30, 1.0, 0.0))
     assert root.boundary == BOUNDARY_ALL_Q
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="criteria._lhs_closed takes t * sum_Sinv(p) with t = (1-q)^m = 9.0e-314 "
+    "(subnormal) and sum_Sinv(p) = inf, so the product is inf, its coefficient "
+    "(1-rho)(1-gamma - sec xi) is negative, and the paper and rederived lhs read "
+    "-inf: margin inf, satisfied True (ROADMAP item 5)",
+)
+def test_closed_integral_in_s_lhs_is_finite_at_large_m():
+    c = SpiralClassParams(1.0922534926317535, 0.3388152296515011, 0.7464556029874259)
+    p = PascalParams(1039.9226245360026, 0.5)
+    for variant in ("paper", "rederived"):
+        lhs = evaluate_criterion(CriterionId.G_IN_S, p, c, None, variant).lhs
+        assert math.isfinite(lhs) and lhs >= 0.0, variant

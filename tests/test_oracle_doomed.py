@@ -1,7 +1,8 @@
-"""The oracle's early stop: a sum whose coefficient ratio at the cap is >= 1
-can never meet its tail bound, so oracle_sum raises at once what the full
-block walk raises, with the last term's coefficient from log-gamma instead
-of the walk."""
+"""oracle_sum equals an independent full block walk, value, order and
+raised divergence alike, including on sums that cannot converge: a sum whose
+coefficient ratio at the cap is >= 1 (a doomed sum) can never meet its tail
+bound, so it walks every block up to the cap and raises there, as any other
+unmet sum does."""
 import math
 import random
 
@@ -29,15 +30,14 @@ from pascal_spiral.series import (
     rtau_bound,
     RTauParams,
 )
-from pascal_spiral.summation import _DOOMED_RATIO
 
 CAPS = (100, 1000, TRUNCATION_CAP)
 RTAU = RTauParams(tau=0.6 - 1.1j, vartheta=0.35, delta=-0.4)
 
 
 def _full_walk(weight, p: PascalParams, cap: int = TRUNCATION_CAP):
-    """The block walk without the early stop: every row's stop test at every
-    order up to the cap, in the same blocks as oracle_sum, each cut into
+    """The block walk written apart from oracle_sum: every row's stop test at
+    every order up to the cap, in the same blocks as oracle_sum, each cut into
     sub-chunks of 16384 // k columns whose running sum carries from chunk to
     chunk.  An independent reference for oracle_sum's one cumsum per block."""
     m, q = p.m, p.q
@@ -154,7 +154,7 @@ def test_doomed_sums_raise_what_the_full_walk_raises(cap):
     rng = random.Random(cap)
     for _ in range(12):
         p = _doomed_params(rng, cap)
-        assert _cap_ratio(p, cap) >= _DOOMED_RATIO
+        assert _cap_ratio(p, cap) >= 1.0
         for weight in _weights(rng):
             assert _same_outcome(weight, p, cap).startswith("('raised'")
 
@@ -164,7 +164,7 @@ def test_doomed_sum_at_large_m_under_errstate():
     # the full walk overflows; the raised message, last_term and order agree
     for cap in CAPS:
         p = PascalParams(3000.0, 0.99)
-        assert _cap_ratio(p, cap) >= _DOOMED_RATIO
+        assert _cap_ratio(p, cap) >= 1.0
         for weight in _weights(random.Random(cap)):
             with np.errstate(over="ignore", invalid="ignore"):
                 _same_outcome(weight, p, cap)
@@ -188,17 +188,6 @@ class _Spy:
     def __call__(self, n):
         self.calls.append((float(n[0]), float(n[-1])))
         return self.weight(n)
-
-
-@pytest.mark.parametrize("cap", CAPS)
-def test_doomed_sum_evaluates_its_weight_on_the_last_block_only(cap):
-    last_n0 = list(order_blocks(cap))[-1][0]
-    spy = _Spy(lambda n: np.array([1.0 / n, n]))
-    with pytest.raises(SummationDivergenceError):
-        oracle_sum(spy, PascalParams(2.0, 1.0 - 1e-9), cap)
-    assert len(spy.calls) == 1
-    lo, hi = spy.calls[0]
-    assert last_n0 <= lo <= hi <= cap + 1
 
 
 def test_cap_ratio_just_below_one_takes_the_full_walk():
@@ -238,24 +227,12 @@ def block_spy(monkeypatch):
     return spy
 
 
-@pytest.mark.parametrize("cap", CAPS)
-def test_discarded_doomed_error_consumes_no_block(cap, block_spy):
-    p = PascalParams(2.0, 1.0 - 1e-9)
-    with pytest.raises(SummationDivergenceError) as info:
-        oracle_sum(lambda n: n - 1.0, p, cap)
-    assert block_spy.walks == []
-    # nor does reading it: its last term is a value
-    info.value.last_term
-    str(info.value)
-    assert block_spy.walks == []
-
-
 @pytest.mark.parametrize("state", ["raise", "warn"])
 def test_doomed_last_term_past_the_float_range_is_inf(state):
-    # at m = 3000 the raw coefficient at the cap passes the float range;
-    # neither the raise nor a read touches numpy's arithmetic, which would
-    # raise FloatingPointError under over="raise" and a RuntimeWarning,
-    # an error here (pyproject.toml), under over="warn"
+    # at m = 3000 the raw coefficients pass the float range long before the
+    # cap; the walk keeps that overflow to itself, which would otherwise
+    # raise FloatingPointError under over="raise" and a RuntimeWarning, an
+    # error here (pyproject.toml), under over="warn"
     p = PascalParams(3000.0, 0.99)
     with np.errstate(over=state):
         with pytest.raises(SummationDivergenceError) as info:
@@ -266,9 +243,8 @@ def test_doomed_last_term_past_the_float_range_is_inf(state):
 
 def test_direct_critical_q_walks_no_block_at_q_max(block_spy, monkeypatch):
     # the direct sum at Q_MAX is past the oracle's reach, so scan._margin
-    # calls no oracle there: at m = 2.5, where the doomed test would raise at
-    # once, nor at m = 1.00005, where it does not fire and the sum would walk
-    # every block up to the cap
+    # calls no oracle there, at m = 2.5 as at m = 1.00005, where the sum
+    # would walk every block up to the cap before it raised
     sampled = []
 
     def recording_oracle_sum(weight, p, *args):

@@ -283,6 +283,7 @@ class TestPastOracleReach:
     def test_certified_sums_diverge(self):
         # seeded draws over the documented domain, with 1-q in [1e-12, 1e-3]
         rng, fired, walked = random.Random(28), 0, 0
+        cap = SCAN_MODULE.TRUNCATION_CAP
         for i in range(300):
             cid = list(CriterionId)[i % len(CriterionId)]
             p = PascalParams(
@@ -296,19 +297,20 @@ class TestPastOracleReach:
             if not SCAN_MODULE._past_oracle_reach(cid, p, c, r):
                 continue
             fired += 1
-            # below about this m the oracle's own doomed test does not fire
-            walked += p.m - 1.0 < (1.0 - p.q) * 1e5
+            # a coefficient ratio below 1 at the cap: the sum is not doomed
+            # by its ratios alone, only by the tail bound's slow decay
+            walked += p.q * (cap + p.m - 1.0) / cap < 1.0
             with pytest.raises(SummationDivergenceError):
                 evaluate_criterion(cid, p, c, r, "direct")
         # the draw reaches both kinds of certified sum
         assert fired >= 150 and walked >= 20, (fired, walked)
 
     def test_sums_of_tiny_terms_are_not_certified(self):
-        # at m = 1, below the oracle's doomed test, and |tau| = 1e-30, the
-        # lambda sums meet the stop rule: lambda-in-s at once at Q_MAX, so it
-        # holds for all q; lambda-in-k, whose weight grows like n, only past
-        # n ~ q/(1-q), so at 1-q = 1e-5 but not at Q_MAX.  Both pass the
-        # certificate's first test; the second keeps them out
+        # at m = 1, where every coefficient ratio is q < 1, and |tau| =
+        # 1e-30, the lambda sums meet the stop rule: lambda-in-s at once at
+        # Q_MAX, so it holds for all q; lambda-in-k, whose weight grows like
+        # n, only past n ~ q/(1-q), so at 1-q = 1e-5 but not at Q_MAX.  Both
+        # pass the certificate's first test; the second keeps them out
         r = RTauParams(1e-30, 1.0, 0.0)
         for cid, q in (
             (CriterionId.LAMBDA_RTAU_IN_S, SCAN_MODULE.Q_MAX),
