@@ -13,9 +13,9 @@ Each criterion is evaluated in three variants:
 Every direct weight is linear in the class: A*b0(n) + B*b1(n), with
 A = (1-rho)sec(xi) + rho(1-gamma) >= 0, B = 1-gamma > 0 and a basis (b0, b1)
 per criterion, e.g. (n-1, 1) for theta-in-s and (n(n-1), n) for theta-in-k.
-One class (evaluate_criterion) or two are summed one row each; a batch of
-more classes (discrepancy_report) sums the two basis rows once and combines
-them per class.  evaluate_criterion sums its one criterion's row alone;
+One class (evaluate_criterion) is summed as one row; a batch of classes
+(discrepancy_report) sums the two basis rows once and combines them per
+class.  evaluate_criterion sums its one criterion's row alone;
 discrepancy_report stacks the rows of every criterion at one (m, q) in one
 oracle pass, each row equal bit for bit to its sum alone.  On 6 criteria x
 9 (m, q) x 25 classes, with q from 1e-6 to 0.99 and sec(xi) up to 1e4, both
@@ -238,50 +238,39 @@ def _lhs_direct(
     the _columns of several classes: one value list per criterion, one value
     per class, all from one oracle pass over the coefficients of p.
 
-    One class is summed on its floats, one or two columns one row each.
-    More columns share one sum of two basis rows per criterion: every direct
-    weight is A*b0(n) + B*b1(n), with A = c.slope >= 0 and B = 1 - gamma in
-    (0, 1], so the classes enter only through A and B, and combining the
-    rows cancels nothing.  Row 0 is a*b0(n), with a the largest A: the
-    oracle's stop rule, absolute below 1, then bounds each class's share of
-    the truncation error by what its own row's stop rule would allow, as
-    B <= 1 does for row 1.  Several criteria stack their rows, all built
-    from one weight_S per block; each row stops where, and equals bit for
-    bit what, it would alone."""
+    One class is summed on its floats.  A batch shares one sum of two basis
+    rows per criterion: every direct weight is A*b0(n) + B*b1(n), with
+    A = c.slope >= 0 and B = 1 - gamma in (0, 1], so the classes enter only
+    through A and B, and combining the rows cancels nothing.  The rows put
+    a(n-1) and 1, the two terms of weight_S(n) = A(n-1) + B, in place of
+    weight_S, with a the batch's largest A: the oracle's stop rule, absolute
+    below 1, then bounds each class's share of the truncation error by what
+    its own row's stop rule would allow, as B <= 1 does for row 1.  Several
+    criteria stack their rows, all built from one basis per block; each row
+    stops where, and equals bit for bit what, it would alone."""
     batch = not isinstance(c, SpiralClassParams)
-    rows = c
-    if batch and len(c.gamma) > 2:
-        # at rho = 0, A = sec_xi and B = 1 - gamma: these two pseudo-classes
-        # are (A, B) = (a, 0) and (0, 1), whose weight rows are a*b0(n) and
-        # b1(n) exactly, every other factor being 0 or 1
+    if batch:
         a = float(c.slope.max())
-        rows = SimpleNamespace(
-            rho=np.zeros((2, 1)), gamma=np.array([[1.0], [0.0]]), sec_xi=np.array([[a], [0.0]])
-        )
+        basis = lambda n: np.stack([(n - 1.0) * a, np.ones_like(n)])  # noqa: E731
+    else:
+        basis = lambda n: weight_S(n, c)  # noqa: E731
     summed = list(dict.fromkeys(_DIRECT_WEIGHTS[cid] for cid in cids))
-    k = len(rows.gamma) if batch else 1
     if len(summed) == 1:
         # no stacking: a stacked weight's numpy calls and loop per block
         # would slow the one-criterion path of evaluate_criterion
-        weight = lambda n: summed[0](n, weight_S(n, rows), r)  # noqa: E731
+        weight = lambda n: summed[0](n, basis(n), r)  # noqa: E731
     else:
         def weight(n):
-            s = weight_S(n, rows)
-            stacked = np.empty((len(summed) * k, len(n)))
-            for i, row in enumerate(summed):
-                stacked[i * k:(i + 1) * k] = row(n, s, r)
-            return stacked
+            s = basis(n)
+            return np.vstack([row(n, s, r) for row in summed])
     t = (1.0 - p.q) ** p.m
-    sums = t * oracle_sum(weight, p)[0]
+    # one list per summed weight: its two basis sums, or one class's sum
+    sums = np.asarray(t * oracle_sum(weight, p)[0]).reshape(len(summed), -1).tolist()
     out = []
     for cid in cids:
-        i = summed.index(_DIRECT_WEIGHTS[cid])
-        values = sums if len(summed) == 1 else sums[i * k:(i + 1) * k]
-        if rows is not c:
-            values = c.slope * (values[0] / a) + (1.0 - c.gamma) * values[1]
-        elif batch:
-            # the (k,) row sums as a column, the shape of c.gamma
-            values = values[:, None]
+        own = sums[summed.index(_DIRECT_WEIGHTS[cid])]
+        # a batch's basis sums M0, M1 combine as A*(M0/a) + B*M1
+        values = c.slope * (own[0] / a) + (1.0 - c.gamma) * own[1] if batch else own[0]
         if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
             values = (values - (1.0 - c.gamma) * (1.0 - t)) / t
         out.append(np.ravel(values).tolist())
@@ -365,10 +354,9 @@ def discrepancy_report(
     The classes' parameter columns are built once.  Every closed form runs
     first, all classes at one (criterion, m, q) in one batch, each equal to
     its evaluate_criterion lhs bit for bit.  Then one oracle pass per (m, q)
-    sums the direct rows of every criterion.  The direct values of up to two
-    classes equal their evaluate_criterion lhs bit for bit too; more classes
-    share two basis rows per criterion, combined per class in the moment
-    form of the module docstring, which agrees with the one-row sums to
+    sums the direct rows of every criterion: the classes share two basis
+    rows per criterion, combined per class in the moment form of the module
+    docstring, which agrees with evaluate_criterion's one-row sums to
     1e-14*max(1, |lhs|).  integral-in-k takes theta-in-s's rows, which its
     own sum equals by construction.
 

@@ -24,7 +24,8 @@ over the documented domain, q down to 1e-14.
 As q -> 1 each lhs rises to its limit L = sup h (criteria._lhs_limit): A
 for integral-in-s, 2|tau|(1-delta) A/vartheta for lambda-in-s, inf for the
 rest, in every variant.  A margin that cannot be evaluated (a sum past its
-cap, a closed form's ArithmeticError) is 1-gamma - L if >= 0, else -inf.
+cap, a closed form's ArithmeticError, or an lhs that is not finite) is
+1-gamma - L if >= 0, else -inf.
 
 A direct sum near q = 1 is past oracle_sum's reach: at Q_MAX it would need
 about 3.7e10 terms.  The oracle has one way to fail, walking all
@@ -134,9 +135,14 @@ def _margin(cid, variant, m, q, c, r) -> float:
     p = PascalParams(m, q)
     if not (variant == "direct" and _past_oracle_reach(cid, p, c, r)):
         try:
-            return evaluate_criterion(cid, p, c, r, variant).margin
+            verdict = evaluate_criterion(cid, p, c, r, variant)
         except (SummationDivergenceError, ArithmeticError):
             pass
+        else:
+            # an lhs that is not finite has failed in floating point, like
+            # one that raises (ROADMAP item 5)
+            if math.isfinite(verdict.lhs):
+                return verdict.margin
     # 1-gamma - L bounds the margin at every q when >= 0 (the module
     # docstring); -inf otherwise means "unsatisfied", not a bound: the lhs
     # can still sit below 1-gamma at this q (ROADMAP item 13)

@@ -1,10 +1,10 @@
 """The batched oracle: a weight of shape (k, len(n)) sums its k rows in one
 pass, and each row must equal, bit for bit, the sum of that row alone.  A
-batch of more than two classes sums its criterion's two basis rows once and
-combines them per class; its values are checked bit for bit against that
-combination and, with the one-row values, against a 40-digit sum.  A report
-stacks every criterion's rows at one (m, q) in one sum, and each criterion's
-values must equal, bit for bit, those of its sum alone."""
+batch of classes, one class included, sums its criterion's two basis rows
+once and combines them per class; its values are checked bit for bit
+against that combination and, with the one-row values, against a 40-digit
+sum.  A report stacks every criterion's rows at one (m, q) in one sum, and
+each criterion's values must equal, bit for bit, those of its sum alone."""
 import itertools
 import math
 import random
@@ -87,9 +87,9 @@ def _basis(cid, r, a):
 
 
 def _moment_lhs(cid, p, c, r, classes):
-    """Direct lhs of the class c as a batch of more than two classes gives
-    it: the two basis rows, row 0 scaled by the largest A of the batch, each
-    summed alone and combined as A*(M0/a) + B*M1."""
+    """Direct lhs of the class c as a batch of the classes gives it: the
+    two basis rows, row 0 scaled by the largest A of the batch, each summed
+    alone and combined as A*(M0/a) + B*M1."""
     t = (1.0 - p.q) ** p.m
     a = max(_slope(other) for other in classes)
     m0, m1 = (t * oracle_sum(w, p)[0] for w in _basis(cid, r, a))
@@ -106,23 +106,21 @@ def _stack(*weights):
 
 @pytest.mark.parametrize("cid", list(CriterionId))
 def test_batch_rows_bit_equal_to_scalar_lhs(cid):
-    # up to two classes, one row each: every value is the scalar lhs; more
-    # classes: every value is the combination of the two basis sums
+    # one class on its floats, one row: the scalar lhs; a batch of any
+    # size: the combination of the two basis sums
     classes = _classes(7, seed=list(CriterionId).index(cid))
     r = RTAU if cid.needs_rtau else None
     for m, q in itertools.product(M_GRID, Q_GRID):
         p = PascalParams(m, q)
-        for k in (1, 2):
+        for c in classes[:2]:
+            lhs = evaluate_criterion(cid, p, c, r).lhs
+            assert type(lhs) is float and lhs == _scalar_lhs(cid, p, c, r), (cid, m, q, c)
+        for k in (1, 2, len(classes)):
             batch = _lhs_direct((cid,), p, _columns(classes[:k]), r)[0]
             assert len(batch) == k
             for c, value in zip(classes, batch):
-                assert value == _scalar_lhs(cid, p, c, r), (cid, m, q, c)
-                lhs = evaluate_criterion(cid, p, c, r).lhs
-                assert type(lhs) is float and lhs == value
-        batch = _lhs_direct((cid,), p, _columns(classes), r)[0]
-        assert len(batch) == len(classes)
-        for c, value in zip(classes, batch):
-            assert type(value) is float and value == _moment_lhs(cid, p, c, r, classes), (cid, m, q, c)
+                moment = _moment_lhs(cid, p, c, r, classes[:k])
+                assert type(value) is float and value == moment, (cid, m, q, k, c)
 
 
 def test_one_class_stays_on_floats(monkeypatch):
@@ -197,8 +195,9 @@ def _mp_basis_sums(m, q, r):
 
 def test_direct_paths_agree_with_a_40_digit_sum():
     # the one-row values of evaluate_criterion and the two-row values of a
-    # batch, against the same lhs summed at 40 digits, on the scale of
-    # max(1, |lhs|); rtau is scaled by 1 + vartheta(n-1) with vartheta 0.35.
+    # batch, of all classes and of each alone, against the same lhs summed
+    # at 40 digits, on the scale of max(1, |lhs|); rtau is scaled by
+    # 1 + vartheta(n-1) with vartheta 0.35.
     # sec(xi) reaches 1e4 at xi = -1.5707, where an unscaled row 0 would
     # carry the oracle's absolute stop error times A
     classes = _classes(7, seed=5) + [SpiralClassParams(-1.5707, 0.0, 0.0), SpiralClassParams(0.0, 0.99, 0.99)]
@@ -218,19 +217,18 @@ def test_direct_paths_agree_with_a_40_digit_sum():
                         ref = (ref - b * (1 - t)) / t
                     scale = 1e-13 * max(1.0, abs(float(ref)))
                     scalar = evaluate_criterion(cid, p, c, r).lhs
-                    assert abs(value - ref) <= scale, (cid, m, q, c, value, ref)
-                    assert abs(scalar - ref) <= scale, (cid, m, q, c, scalar, ref)
+                    [[alone]] = _lhs_direct((cid,), p, _columns([c]), r)
+                    for got in (value, scalar, alone):
+                        assert abs(got - ref) <= scale, (cid, m, q, c, got, ref)
 
 
-@pytest.mark.parametrize("xi_grid, gamma_grid, rho_grid, rows_per_criterion", [
-    ((0.0,), (0.25,), (0.3,), 1),
-    ((0.0, 0.5), (0.25,), (0.3,), 2),
-    ((0.0, 0.5, 1.0), (0.25,), (0.3,), 2),
-    (criteria.DEFAULT_XI_GRID, criteria.DEFAULT_GAMMA_GRID, criteria.DEFAULT_RHO_GRID, 2),
+@pytest.mark.parametrize("xi_grid, gamma_grid, rho_grid", [
+    ((0.0,), (0.25,), (0.3,)),
+    ((0.0, 0.5), (0.25,), (0.3,)),
+    ((0.0, 0.5, 1.0), (0.25,), (0.3,)),
+    (criteria.DEFAULT_XI_GRID, criteria.DEFAULT_GAMMA_GRID, criteria.DEFAULT_RHO_GRID),
 ], ids=["1-class", "2-classes", "3-classes", "36-classes"])
-def test_report_sums_every_criterion_once_per_point(
-    monkeypatch, xi_grid, gamma_grid, rho_grid, rows_per_criterion
-):
+def test_report_sums_every_criterion_once_per_point(monkeypatch, xi_grid, gamma_grid, rho_grid):
     rows, calls = [], []
 
     def recorded(weight, p, *args, **kwargs):
@@ -246,11 +244,11 @@ def test_report_sums_every_criterion_once_per_point(
     classes = dict(xi_grid=xi_grid, gamma_grid=gamma_grid, rho_grid=rho_grid)
     report = discrepancy_report(m_grid=(1.5, 3.0), q_grid=(0.3, 0.9), **classes)
     assert report["points_checked"] == 6 * 2 * 2 * len(xi_grid) * len(gamma_grid) * len(rho_grid)
-    # one sum per (m, q) over every criterion's rows: k rows per criterion
-    # for one or two classes, two basis rows for more, and none of
-    # integral-in-k's own, which takes theta-in-s's rows
+    # one sum per (m, q) over every criterion's rows: two basis rows per
+    # criterion at any number of classes, and none of integral-in-k's own,
+    # which takes theta-in-s's rows
     assert calls == [tuple(CriterionId)] * (2 * 2)
-    assert rows == [5 * rows_per_criterion] * (2 * 2)
+    assert rows == [5 * 2] * (2 * 2)
     rows.clear()
     calls.clear()
     report = discrepancy_report(m_grid=(1.5, 3.0), q_grid=(0.3, 0.9), **dict(classes, xi_grid=()))
@@ -459,10 +457,12 @@ def test_report_errors_surface_in_point_by_point_order():
 
 
 def test_discrepancy_report_matches_point_by_point():
-    # the direct value of every point is its scalar lhs in a report over two
-    # classes, and the combination of its batch's basis sums over twenty
+    # the direct value of every point is the combination of its batch's
+    # basis sums, in reports over twenty classes, two and one
     xis = sorted({c.xi for c in _classes(5, seed=11)})
-    for xi_grid, gamma_grid, rho_grid in ((xis, (0.0, 0.6), (0.2, 0.9)), (xis[:2], (0.6,), (0.2,))):
+    for xi_grid, gamma_grid, rho_grid in (
+        (xis, (0.0, 0.6), (0.2, 0.9)), (xis[:2], (0.6,), (0.2,)), (xis[:1], (0.6,), (0.2,))
+    ):
         grids = dict(
             xi_grid=xi_grid,
             gamma_grid=gamma_grid,
@@ -477,11 +477,7 @@ def test_discrepancy_report_matches_point_by_point():
         for cid in CriterionId:
             r = RTAU if cid.needs_rtau else None
             for m, q, c in itertools.product(grids["m_grid"], grids["q_grid"], classes):
-                p = PascalParams(m, q)
-                if len(classes) > 2:
-                    direct = _moment_lhs(cid, p, c, r, classes)
-                else:
-                    direct = _scalar_lhs(cid, p, c, r)
+                direct = _moment_lhs(cid, PascalParams(m, q), c, r, classes)
                 expected.append((cid.value, m, q, c.xi, c.gamma, c.rho, direct))
         rows = report["flagged_rows"]
         assert report["points_checked"] == len(expected)

@@ -333,6 +333,85 @@ class TestPastOracleReach:
             critical_q(CriterionId.LAMBDA_RTAU_IN_S, "direct", 1.0, c, None)
 
 
+class TestCrossVariantRoots:
+    """Where paper, rederived and direct are equal in exact arithmetic
+    (theta-in-s, integral-in-k, integral-in-s, and lambda-in-s at vartheta
+    = 1), the three variants give the same root.  A closed lhs that is not
+    finite (ROADMAP item 5) is read like one that cannot be evaluated."""
+
+    @pytest.mark.parametrize("variant", ["paper", "rederived"])
+    @pytest.mark.parametrize("cid, m, c, r, q_direct", [
+        # the closed lhs reads -inf at Q_MAX, where (1-q)^m is subnormal:
+        # once read as margin +inf, an all-q verdict
+        pytest.param(
+            CriterionId.G_IN_S, 35.787668118436216,
+            SpiralClassParams(-1.2719247142287187, 0.30539566616915825, 0.46675909021854145),
+            None, 0.0173582540782156, id="integral-in-s-m35.8",
+        ),
+        pytest.param(
+            CriterionId.LAMBDA_RTAU_IN_S, 35.787668118436216, SpiralClassParams(0.3, 0.2, 0.1),
+            RTauParams(0.5, 1.0, 0.0), 0.0510618672128, id="lambda-in-s-m35.8",
+        ),
+        # the lhs reads -inf at q = 0.0625, above the root: once read as
+        # margin +inf, a false root at q = 0.0634 with residual -inf
+        pytest.param(
+            CriterionId.G_IN_S, 11368.456845750045,
+            SpiralClassParams(-0.6538811999763078, 0.028044796024926613, 0.13421455994049314),
+            None, 1.7084183288e-4, id="integral-in-s-m11368",
+        ),
+        # the lhs reads -inf at the first halving probe, q = 1/2: once read
+        # as margin +inf, above 1-gamma, a NonMonotoneMarginError
+        pytest.param(
+            CriterionId.G_IN_S, 1039.9226245360026,
+            SpiralClassParams(1.0922534926317535, 0.3388152296515011, 0.7464556029874259),
+            None, 1.29185055424e-3, id="integral-in-s-m1040",
+        ),
+    ])
+    def test_non_finite_closed_lhs_takes_the_direct_root(self, cid, variant, m, c, r, q_direct):
+        res = critical_q(cid, variant, m, c, r)
+        assert res.boundary == "" and math.isfinite(res.residual_margin)
+        assert math.isclose(res.q_star, q_direct, rel_tol=1e-6)
+
+    @staticmethod
+    def _draws(count, seed, rtau):
+        """Seeded (m, class, r) over the documented domain: m log-uniform in
+        [1, 1e5] 70 % of the time, else m - 1 log-uniform in [1e-9, 1]."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            if rng.random() < 0.7:
+                m = 10.0 ** rng.uniform(0.0, 5.0)
+            else:
+                m = 1.0 + 10.0 ** rng.uniform(-9.0, 0.0)
+            c = SpiralClassParams(
+                rng.uniform(-1.0, 1.0) * math.pi / 2, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+            )
+            r = None
+            if rtau:
+                tau = 10.0 ** rng.uniform(-3.0, 3.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                r = RTauParams(tau, 1.0, rng.uniform(-10.0, 1.0))
+            yield m, c, r
+
+    @pytest.mark.parametrize("cids, count, seed, rtau", [
+        pytest.param(
+            (CriterionId.THETA_IN_S, CriterionId.G_IN_K, CriterionId.G_IN_S), 300, 22, False,
+            id="theta-in-s,integral-in-k,integral-in-s",
+        ),
+        pytest.param((CriterionId.LAMBDA_RTAU_IN_S,), 200, 23, True, id="lambda-in-s"),
+    ])
+    def test_closed_variants_give_the_direct_root(self, cids, count, seed, rtau):
+        disagree = []
+        for m, c, r in self._draws(count, seed, rtau):
+            for cid in cids:
+                want = critical_q(cid, "direct", m, c, r)
+                for variant in ("paper", "rederived"):
+                    got = critical_q(cid, variant, m, c, r)
+                    if got.boundary != want.boundary or not math.isclose(
+                        got.q_star, want.q_star, rel_tol=1e-6
+                    ):
+                        disagree.append((cid.value, variant, m, c, r, got, want))
+        assert disagree == []
+
+
 class TestScan:
     def test_singleton_grid_matches_critical_q(self):
         rows = scan(
