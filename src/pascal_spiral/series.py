@@ -220,18 +220,29 @@ def _horner(coeffs, z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
+def derivative_coeffs(f: PowerSeries, derivative: int = 0) -> np.ndarray:
+    """The coefficients of f, f' or f'' (derivative 0, 1 or 2), constant
+    term first."""
+    if derivative == 0:
+        return np.concatenate(([0.0, 1.0], f.coeffs))
+    n = np.arange(2.0, f.order + 1.0)
+    if derivative == 1:
+        return np.concatenate(([1.0], n * f.coeffs))
+    if derivative == 2:
+        return n * (n - 1.0) * f.coeffs
+    raise ValueError(f"derivative must be 0, 1 or 2, got {derivative!r}")
+
+
 def evaluate(f: PowerSeries, z):
     """f(z) for |z| < 1 by Horner's rule; z may be a scalar or an array."""
-    return _horner(np.concatenate(([0.0, 1.0], f.coeffs)), z)
+    return _horner(derivative_coeffs(f, 0), z)
 
 
 def evaluate_d1(f: PowerSeries, z):
     """f'(z) for |z| < 1."""
-    n = np.arange(2.0, f.order + 1.0)
-    return _horner(np.concatenate(([1.0], n * f.coeffs)), z)
+    return _horner(derivative_coeffs(f, 1), z)
 
 
 def evaluate_d2(f: PowerSeries, z):
     """f''(z) for |z| < 1."""
-    n = np.arange(2.0, f.order + 1.0)
-    return _horner(n * (n - 1.0) * f.coeffs, z)
+    return _horner(derivative_coeffs(f, 2), z)

@@ -22,7 +22,9 @@ from pascal_spiral import (
     theta_series,
     verify_on_disk,
 )
-from pascal_spiral.disk import DENOMINATOR_FLOOR, _num_den
+from pascal_spiral import disk
+from pascal_spiral.disk import DEFAULT_RADII, DENOMINATOR_FLOOR, _num_den, _ring_values
+from pascal_spiral.series import derivative_coeffs
 
 FLAT = SpiralClassParams(0.0, 0.0, 0.0)
 
@@ -255,11 +257,19 @@ def _seeded_disk_cases():
 
 @pytest.mark.parametrize("case", range(48))
 def test_one_pass_matches_ring_by_ring(case):
+    # the FFT screen picks the Horner walk's witness; min_value is the
+    # scalar functional there, so its last digits are Horner's at one point,
+    # not the screen's
     f, c, family, grid = _seeded_disk_cases()[case]
     expected = _ring_by_ring_verify(f, c, family, grid, 1e-6)
     got = verify_on_disk(f, c, family, grid, tail_check=False)
-    assert got == expected
+    assert (got.witness, got.passed, got.note, got.points_checked) == (
+        expected.witness, expected.passed, expected.note, expected.points_checked
+    )
     assert math.copysign(1.0, got.witness.imag) == math.copysign(1.0, expected.witness.imag)
+    functional = spiral_functional if family == "S" else convex_spiral_functional
+    assert got.min_value == functional(f, got.witness, c)
+    assert got.min_value == pytest.approx(expected.min_value, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("family, a2", [("S", 2.0), ("K", 1.0)])
@@ -275,6 +285,22 @@ def test_denominator_exit_counts_the_rings_before_it(family, a2):
     assert rep.witness == pytest.approx(-0.5)
 
 
+def test_denominator_vanishing_at_the_witness_alone_fails_there(monkeypatch):
+    # the screen sees no vanishing denominator; Horner's rule at its witness
+    # does (the scalar f' is made to read 0 there, so the K denominator
+    # f' + rho zf'' is 0 at rho = 0)
+    f = PowerSeries([0.1])
+    grid = DiskGrid(radii=(0.3, 0.6), angles_per_ring=8)
+    screened = verify_on_disk(f, FLAT, "K", grid, tail_check=False)
+    assert screened.note == "no violation found"
+    assert screened.witness == pytest.approx(-0.6)
+    monkeypatch.setattr(disk, "evaluate_d1", lambda f, z: 0j)
+    rep = verify_on_disk(f, FLAT, "K", grid, tail_check=False)
+    assert rep == DiskReport(
+        -math.inf, screened.witness, False, 8, "denominator vanished at witness"
+    )
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_all_nan_grid_fails_at_first_point():
     # every value overflows to nan; the ring-by-ring walk skipped rings
@@ -285,3 +311,43 @@ def test_all_nan_grid_fails_at_first_point():
     assert math.isnan(rep.min_value)
     assert rep.witness == 0.1
     assert rep.points_checked == 32
+
+
+def _ring_cases():
+    # (series, radii, angles per ring, sampled rings, sampled angles)
+    rng = np.random.default_rng(3301)
+    wide = PowerSeries(rng.normal(size=39) + 1j * rng.normal(size=39))  # N = 40
+    short = PowerSeries(rng.normal(size=19) + 1j * rng.normal(size=19))  # N = 20
+    theta = _tight_theta(2, 0.99)  # N = 1,693, above the 720 angles
+    return {
+        "order-above-angles": (wide, (0.3, 0.9, 0.999), 8, range(3), range(8)),
+        "prime-angles-folded": (wide, (0.5, 0.95), 37, range(2), range(37)),
+        "prime-angles": (short, (0.2, 0.999), 37, range(2), range(37)),
+        "theta-q-0.99-default-grid": (
+            theta, DEFAULT_RADII, 720, (0, 8, 11), (0, 1, 181, 360, 719)
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_ring_cases()))
+def test_rings_match_a_30_digit_sum(case):
+    # sampled FFT ring values of f, f' and f'' against their defining sums
+    # at 30 digits, in units of sum_n |c_n| r^n: folds (orders above the
+    # angle count), a prime angle count, and a default-grid theta
+    mpmath = pytest.importorskip("mpmath")
+    f, radii, k, rings, angles = _ring_cases()[case]
+    values = _ring_values(f, (0, 1, 2), radii, k)
+    assert values.shape == (3, len(radii) * k)
+    with mpmath.workdps(30):
+        for d in (0, 1, 2):
+            coeffs = derivative_coeffs(f, d)
+            mp_coeffs = [
+                mpmath.mpf(a.real) if a.imag == 0 else mpmath.mpc(a) for a in coeffs[::-1]
+            ]
+            for i in rings:
+                r = radii[i]
+                scale = float(np.sum(np.abs(coeffs) * r ** np.arange(coeffs.size)))
+                for j in angles:
+                    z = mpmath.mpf(r) * mpmath.expjpi(mpmath.mpf(2 * j) / k)
+                    exact = complex(mpmath.polyval(mp_coeffs, z))
+                    assert abs(values[d, i * k + j] - exact) <= 1e-15 * scale, (d, r, j)

@@ -172,3 +172,21 @@ def test_closed_integral_in_s_lhs_is_finite_at_large_m():
     for variant in ("paper", "rederived"):
         lhs = evaluate_criterion(CriterionId.G_IN_S, p, c, None, variant).lhs
         assert math.isfinite(lhs) and lhs >= 0.0, variant
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="the direct sum's raw coefficients overflow from q = 0.0125 at "
+    "m = 56,876 (SummationDivergenceError, last term inf); scan._margin reads "
+    "that by the limit rule as -inf (L = inf for lambda-in-k), and ITP closes "
+    "on the jump: q* = 0.012416 after 47 steps, residual_margin 0.3997, where "
+    "rederived gives 0.023113 (ROADMAP item 5, the large-m raw scale)",
+)
+def test_direct_lambda_in_k_root_at_large_m_matches_rederived():
+    # rederived equals direct in exact arithmetic at vartheta = 1
+    c = SpiralClassParams(0.0887732246739238, 0.1466025388990907, 0.5431724258821143)
+    r = RTauParams(-0.001430361639308902 - 0.0002552858901074239j, 1.0, 0.7635136699087006)
+    m = 56875.845311834055
+    direct = critical_q(CriterionId.LAMBDA_RTAU_IN_K, "direct", m, c, r)
+    rederived = critical_q(CriterionId.LAMBDA_RTAU_IN_K, "rederived", m, c, r)
+    assert math.isclose(direct.q_star, rederived.q_star, rel_tol=1e-6)
