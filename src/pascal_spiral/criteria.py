@@ -171,8 +171,9 @@ def _lhs_rtau_exact(
 
 def _columns(classes):
     """The parameters of a sequence of classes as (k, 1) columns under the
-    SpiralClassParams names, slope included, so that weight_S(n, cols) holds
-    one row per class, each computed elementwise as weight_S(n, c)."""
+    SpiralClassParams names, slope included, so that _lhs_closed and the
+    combination of _lhs_direct's basis sums give one value per class, each
+    computed elementwise as for that class alone."""
     cols = np.array([[c.rho, c.gamma, c.sec_xi, c.slope] for c in classes]).reshape(-1, 4)
     return SimpleNamespace(
         rho=cols[:, 0:1], gamma=cols[:, 1:2], sec_xi=cols[:, 2:3], slope=cols[:, 3:4]
@@ -216,11 +217,12 @@ def _lhs_closed(
     return [float(lhs)] if isinstance(c, SpiralClassParams) else np.ravel(lhs).tolist()
 
 
-# each criterion's direct weight from s = weight_S(n, rows): the convex side
-# takes n*weight_S(n), the convolutions the R^tau bound.  For the integral
-# transform the convex weight n*weight_S(n) meets coefficients phi_n/n; the
-# n*(1/n) cancellation is exact, so integral-in-k shares theta-in-s's weight,
-# the same function, and with it theta-in-s's rows
+# each criterion's direct weight from s, one class's weight_S(n) or a
+# batch's basis rows a(n-1) and 1 (_lhs_direct): the convex side takes n*s,
+# the convolutions the R^tau bound.  For the integral transform the convex
+# weight n*weight_S(n) meets coefficients phi_n/n; the n*(1/n) cancellation
+# is exact, so integral-in-k shares theta-in-s's weight, the same function,
+# and with it theta-in-s's rows
 _DIRECT_WEIGHTS = {
     CriterionId.THETA_IN_S: lambda n, s, r: s,
     CriterionId.THETA_IN_K: lambda n, s, r: n * s,

@@ -56,14 +56,14 @@ direct margin in exact arithmetic: the rederived form of theta-in-s,
 theta-in-k, integral-in-s and integral-in-k, and for the lambda criteria,
 at every vartheta, criteria._lhs_rtau_exact from summation.sum_J.  The
 closed root is found by the same halving walk and ITP on (0, _START_Q_MAX],
-to a bracket below _Q_TOL, before any margin of the variant is evaluated;
-its evaluations are not margin evaluations of the variant.  That walk's
-top is its last probe, reached only when every lower one is positive, so a
-closed form that refuses near q = 1, or sum_J at its dearest there, costs
-nothing to a root below.  After the direct margin at Q_MAX, the direct
-margin at the closed root usually meets the stop rule, and that root is
-returned with iterations == 0; otherwise the start is dropped, and the
-search runs as it does with no start."""
+to a bracket below _Q_TOL, after the direct margin at Q_MAX and only where
+that margin is < 0, so an all-q row builds no start; its evaluations are
+not margin evaluations of the variant.  That walk's top is its last probe,
+reached only when every lower one is positive, so a closed form that
+refuses near q = 1, or sum_J at its dearest there, costs nothing to a root
+below.  The direct margin at the closed root usually meets the stop rule,
+and that root is returned with iterations == 0; otherwise the start is
+dropped, and the search runs as it does with no start."""
 from __future__ import annotations
 
 import math
@@ -154,13 +154,13 @@ def _past_oracle_reach(cid, p, c, r) -> bool:
     """True only where oracle_sum cannot meet its stop rule on the direct
     sum of cid by TRUNCATION_CAP, so that the sum would raise
     SummationDivergenceError: the certificate of the module docstring, each
-    side with a factor 2 of slack for rounding.  False for a lambda
-    criterion without r, whose evaluate_criterion raises ValueError."""
+    side with a factor 2 of slack for rounding.  A lambda criterion needs
+    its r, which critical_q checks first."""
     q, n = p.q, TRUNCATION_CAP - 1.0
     lead, slack = q**n, 2.0 * TAIL_THRESHOLD * (1.0 - q)
     # the first test fails at every q below about 1 - 2.8e-4, before the
     # weight is formed
-    if not lead >= slack * n or (r is None and cid.needs_rtau):
+    if not lead >= slack * n:
         return False
     w2 = _DIRECT_WEIGHTS[cid](2.0, weight_S(2.0, c), r)
     return w2 * p.m * q * lead >= slack
@@ -173,16 +173,33 @@ def critical_q(
     c: SpiralClassParams,
     r: RTauParams | None = None,
 ) -> CriticalQ:
-    """The q at which the criterion margin crosses zero, found by _search;
-    the direct variant starts from _closed_root where it has one."""
+    """The zero of the criterion margin, decreasing in q from 1-gamma at
+    q = 0, to |margin| <= MARGIN_TOL (1-gamma) or a bracket below _Q_TOL,
+    on (0, Q_MAX].
+
+    The first probe is Q_MAX: a margin >= 0 there is the all-q boundary.
+    Then the direct variant tries _closed_root's start, which is the root,
+    after no ITP step, if its margin meets that stop rule; any other start
+    is dropped, and _walk brackets the root.  iterations counts the ITP
+    steps, one margin evaluation each, after the probes."""
+    if cid.needs_rtau and r is None:
+        raise ValueError(f"{cid.value} requires R^tau parameters")
     rhs = 1.0 - c.gamma
-    return _search(
-        lambda q: _margin(cid, variant, m, q, c, r),
-        rhs,
-        MARGIN_TOL * rhs,
-        f"margin of {cid.value} not decreasing in q (variant={variant})",
-        _closed_root(cid, variant, m, c, r),
-    )
+    tol = MARGIN_TOL * rhs
+
+    def margin(q):
+        return _margin(cid, variant, m, q, c, r)
+
+    f_top = margin(Q_MAX)
+    if f_top >= 0.0:
+        return CriticalQ(Q_MAX, 0, f_top, BOUNDARY_ALL_Q)
+    q_h = _closed_root(cid, variant, m, c, r)
+    if q_h is not None:
+        f_h = margin(q_h)
+        if abs(f_h) <= tol:
+            return CriticalQ(q_h, 0, f_h)
+    rising = f"margin of {cid.value} not decreasing in q (variant={variant})"
+    return _walk(margin, rhs, tol, rising, Q_MAX)
 
 
 def _closed_root(cid, variant, m, c, r) -> float | None:
@@ -191,10 +208,9 @@ def _closed_root(cid, variant, m, c, r) -> float | None:
     criteria criteria._lhs_rtau_exact; else None.  It is solved to a
     bracket below _Q_TOL, not to MARGIN_TOL, so that it sits on the direct
     root to rounding.  None too where the closed margin stays positive up
-    to _START_Q_MAX (the walk's all-q) or its search fails, and for a
-    lambda criterion without r, whose direct margin raises: the direct
+    to _START_Q_MAX (the walk's all-q) or its search fails: the direct
     search then runs cold."""
-    if variant != "direct" or (cid.needs_rtau and r is None):
+    if variant != "direct":
         return None
     rhs = 1.0 - c.gamma
     # chosen once: cid.needs_rtau costs about as much as a PascalParams
@@ -212,41 +228,20 @@ def _closed_root(cid, variant, m, c, r) -> float | None:
     return None if res.boundary else res.q_star
 
 
-def _search(margin, rhs: float, tol: float, rising: str, q_h=None) -> CriticalQ:
-    """The zero of margin(q), decreasing from rhs = margin(0) > 0, to
-    |margin| <= tol or a bracket below _Q_TOL, on (0, Q_MAX].
-
-    The first probe is Q_MAX: a margin >= 0 there is the all-q boundary.
-    Then a start q_h, if given, whose margin is at most tol in size is the
-    root, after no ITP step; any other start is dropped, and _walk brackets
-    the root.  iterations counts the ITP steps, one margin evaluation each,
-    after the probes."""
-    f_top = margin(Q_MAX)
-    if f_top >= 0.0:
-        return CriticalQ(Q_MAX, 0, f_top, BOUNDARY_ALL_Q)
-    if q_h is not None:
-        f_h = margin(q_h)
-        if abs(f_h) <= tol:
-            return CriticalQ(q_h, 0, f_h)
-    return _walk(margin, rhs, tol, rising, Q_MAX, f_top)
-
-
-def _walk(
-    margin, rhs: float, tol: float, rising: str, top: float, f_top: float | None = None
-) -> CriticalQ:
+def _walk(margin, rhs: float, tol: float, rising: str, top: float) -> CriticalQ:
     """The halving walk of margin(q), decreasing from rhs = margin(0) > 0,
     on (0, top], then _itp on the bracket it closes.
 
     The bracket's upper end halves 1-q: q = 1 - 2^-k for k = 1, 2, ..., with
     top in place of any q past it, up to the first margin that is <= 0 (or
-    NaN).  top is the last probe, and its margin f_top, if given, is not
-    evaluated again; a margin >= 0 there is the all-q boundary.  A probe
-    whose margin rises above the one before it by more than _MONOTONE_SLACK
+    NaN).  top is the last probe, reached only when every lower one is
+    positive; a margin >= 0 there is the all-q boundary.  A probe whose
+    margin rises above the one before it by more than _MONOTONE_SLACK
     raises NonMonotoneMarginError(rising)."""
     lo, f_lo, gap = 0.0, rhs, 0.5
     while True:
         q = min(1.0 - gap, top)
-        f = f_top if q == top and f_top is not None else margin(q)
+        f = margin(q)
         if f > f_lo + _MONOTONE_SLACK:
             raise NonMonotoneMarginError(rising)
         if q == top and f >= 0.0:

@@ -115,14 +115,15 @@ def geometric_tail(term, rhat):
         return np.where(rhat < 1.0, np.abs(term) * rhat / (1.0 - rhat), np.inf)
 
 
-def order_blocks(cap: int, n0: int = 2):
+def order_blocks(cap: int, n0: int = 2, size: int = 512):
     """The ranges [n0, hi) of orders n = n0..cap that a tail-bounded
-    summation walks: 512 orders first, doubling up to 16384 per block."""
-    size = 512
+    summation walks: size orders first (512 for the Pascal walks), doubling,
+    and at most 16384 per block."""
     while n0 <= cap:
+        size = min(size, 16384)
         hi = min(n0 + size, cap + 1)
         yield n0, hi
-        n0, size = hi, min(size * 2, 16384)
+        n0, size = hi, size * 2
 
 
 def coefficient_blocks(m: float, q: float, first: float, cap: int, n0: int = 2):

@@ -23,11 +23,11 @@ from .series import (
     TRUNCATION_CAP,
     coefficient_blocks,
     geometric_tail,
+    order_blocks,
 )
 
 
 _EPS = float(np.finfo(float).eps)
-_J_BLOCK = 16384
 # the factor by which terms may cancel in a sum that a closed form takes
 # (sum_J, criteria._lhs_rtau_exact) before it refuses: 2^12 eps is about
 # 9e-13 relative
@@ -173,10 +173,11 @@ def sum_J(p: PascalParams, vartheta: float) -> float:
     J = (1-q) (sum_{j>=1} e_j q^j - expm1((m-1) log1p(-q))), whose terms
     decay like j^-m q^j.  From j = m-a-1 on they keep one sign and shrink
     by ratios below q; the sum stops at the end of the first block there
-    whose last term's geometric tail is below eps times the bracket.  The
-    first block holds the log(eps(1-q))/log(q) terms that q^j alone needs,
-    about 37/(1-q) as q -> 1, and each further one twice as many, up to
-    _J_BLOCK; past TRUNCATION_CAP terms it raises SummationDivergenceError.
+    whose last term's geometric tail is below eps times the bracket.  It
+    walks series.order_blocks over j = 0..TRUNCATION_CAP-1, with a first
+    block of the log(eps(1-q))/log(q) terms that q^j alone needs, about
+    37/(1-q) as q -> 1; if the last block misses the stop rule, it raises
+    SummationDivergenceError.
 
     Before j = m-a-1 the terms alternate in sign, and cancel where m is well
     above a+1 (at vartheta = 1 and m = 627, 6e-15 relative at q = 0.01,
@@ -189,14 +190,12 @@ def sum_J(p: PascalParams, vartheta: float) -> float:
     d = 1.0 / vartheta + 1.0
     c = d - m
     e = math.expm1((m - 1.0) * math.log1p(-q))
-    s, term, j0, spread = 0.0, 1.0, 0, 0.0
-    size = min(int(math.log(_EPS * (1.0 - q)) / math.log(q)) + 1, _J_BLOCK)
+    s, term, spread = 0.0, 1.0, 0.0
+    first = int(math.log(_EPS * (1.0 - q)) / math.log(q)) + 1
     # alternating terms can overflow to inf, and their sum to nan
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if j0 >= TRUNCATION_CAP:
-                raise SummationDivergenceError(abs(term), TRUNCATION_CAP)
-            j = np.arange(float(j0), float(j0 + size))
+        for j0, hi in order_blocks(TRUNCATION_CAP - 1, 0, first):
+            j = np.arange(float(j0), float(hi))
             terms = c + j
             terms /= d + j
             terms *= q
@@ -206,11 +205,11 @@ def sum_J(p: PascalParams, vartheta: float) -> float:
                 spread += float(np.abs(terms).sum())
             s += float(terms.sum())
             term = float(terms[-1])
-            j0 += size
             # (a nan sum stops here too)
-            if c + j0 >= 0.0 and not abs(term) * q > _EPS * (1.0 - q) * abs(s - e):
+            if c + hi >= 0.0 and not abs(term) * q > _EPS * (1.0 - q) * abs(s - e):
                 break
-            size = min(2 * size, _J_BLOCK)
+        else:
+            raise SummationDivergenceError(abs(term), TRUNCATION_CAP)
     if not spread <= CANCELLATION_LIMIT * abs(s - e):
         raise FloatingPointError(
             f"sum_J cancels at m={m}, q={q}, vartheta={vartheta}"

@@ -12,6 +12,7 @@ from pascal_spiral import (
     RTauParams,
     SpiralClassParams,
     corollary,
+    critical_q,
     discrepancy_report,
     evaluate_all,
     evaluate_criterion,
@@ -262,6 +263,55 @@ class TestMonotonicity:
             for q in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def _lattice_draw(rng):
+    """(m, q, class, R^tau): m up to 50, q in [0.001, 0.97], the documented
+    class domain, complex tau, vartheta in [0.05, 1], delta in [-3, 0.9]."""
+    m = 10.0 ** rng.uniform(0.0, math.log10(50.0))
+    q = rng.uniform(0.001, 0.97)
+    c = SpiralClassParams(rng.uniform(-1.5, 1.5), rng.uniform(0.0, 0.99), rng.uniform(0.0, 0.99))
+    tau = cmath.rect(10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+    return m, q, c, RTauParams(tau, rng.uniform(0.05, 1.0), rng.uniform(-3.0, 0.9))
+
+
+class TestInclusionLattice:
+    """The paper's inclusion relations, from the direct weights ordered term
+    by term (w_S = weight_S, P = 2|tau|(1-delta), vartheta <= 1):
+    n w_S >= w_S >= w_S/n, lambda-in-k's weight is n times lambda-in-s's,
+    and P w_S/(1 + vartheta(n-1)) >= P w_S/n.  Each relation is checked in
+    the variants where its proof holds: the printed convex forms exceed the
+    rederived ones, so the K => S relations hold in every variant; the
+    printed lambda-in-s form is not the direct one times P."""
+
+    def test_lhs_and_verdicts_follow_the_weights(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            m, q, c, r = _lattice_draw(rng)
+            p = PascalParams(m, q)
+            big_p = 2.0 * abs(r.tau) * (1.0 - r.delta)
+            for variant in ("paper", "rederived", "direct"):
+                v = {cid: evaluate_criterion(cid, p, c, r, variant) for cid in CriterionId}
+                case = (m, q, c, r, variant)
+                assert v[CriterionId.THETA_IN_S].satisfied or not v[CriterionId.THETA_IN_K].satisfied, case
+                assert v[CriterionId.THETA_IN_S].lhs == v[CriterionId.G_IN_K].lhs, case
+                assert v[CriterionId.LAMBDA_RTAU_IN_K].lhs >= v[CriterionId.LAMBDA_RTAU_IN_S].lhs, case
+                if variant != "paper":
+                    assert v[CriterionId.LAMBDA_RTAU_IN_S].lhs >= big_p * v[CriterionId.G_IN_S].lhs, case
+
+    def test_critical_q_follows_the_weights(self):
+        # q*(theta-in-k) <= q*(theta-in-s) <= q*(integral-in-s); the roots
+        # of this draw lie at least 2e-4 apart, far above the search's
+        # accuracy
+        rng = random.Random(230)
+        for _ in range(40):
+            m, _, c, _ = _lattice_draw(rng)
+            for variant in ("rederived", "direct"):
+                k, s, g = (
+                    critical_q(cid, variant, m, c).q_star
+                    for cid in (CriterionId.THETA_IN_K, CriterionId.THETA_IN_S, CriterionId.G_IN_S)
+                )
+                assert k <= s <= g, (m, c, variant)
 
 
 class TestDiscrepancyReport:

@@ -227,12 +227,9 @@ def test_a_start_below_a_refusal_at_its_top_hits(cid, m, c, r, monkeypatch):
     assert abs(res.q_star - res_cold.q_star) <= 1e-9
 
 
-@pytest.mark.parametrize("cid, m, c, r", [
-    (CriterionId.THETA_IN_K, 1.5, SpiralClassParams(0.4, 0.25, 0.3), None),
-    (CriterionId.LAMBDA_RTAU_IN_S, 15.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.5, 1.0, 0.0)),
-    (CriterionId.LAMBDA_RTAU_IN_K, 20.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.3, 1.0, 0.1)),
-])
-def test_a_start_below_one_half_never_probes_its_top(cid, m, c, r, monkeypatch):
+@pytest.fixture
+def closed_qs(monkeypatch):
+    """The q of every closed-margin evaluation of a direct start, in order."""
     qs = []
     closed_lhs, rtau_lhs = scan_module._lhs_closed, scan_module._lhs_rtau_exact
 
@@ -246,10 +243,32 @@ def test_a_start_below_one_half_never_probes_its_top(cid, m, c, r, monkeypatch):
 
     monkeypatch.setattr(scan_module, "_lhs_closed", closed)
     monkeypatch.setattr(scan_module, "_lhs_rtau_exact", rtau)
+    return qs
+
+
+@pytest.mark.parametrize("cid, m, c, r", [
+    (CriterionId.THETA_IN_K, 1.5, SpiralClassParams(0.4, 0.25, 0.3), None),
+    (CriterionId.LAMBDA_RTAU_IN_S, 15.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.5, 1.0, 0.0)),
+    (CriterionId.LAMBDA_RTAU_IN_K, 20.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.3, 1.0, 0.1)),
+])
+def test_a_start_below_one_half_never_probes_its_top(cid, m, c, r, closed_qs):
     q_h = scan_module._closed_root(cid, "direct", m, c, r)
     assert q_h is not None and q_h < PROBES[0]
     # the first probe is q = 1/2, and every evaluation after it lies below
-    assert qs[0] == max(qs) == PROBES[0] < scan_module._START_Q_MAX
+    assert closed_qs[0] == max(closed_qs) == PROBES[0] < scan_module._START_Q_MAX
+
+
+@pytest.mark.parametrize("cid, m, c, r", [
+    (CriterionId.G_IN_S, 3.0, FLAT, None),
+    (CriterionId.LAMBDA_RTAU_IN_S, 2.0, SpiralClassParams(0.3, 0.2, 0.1), RTauParams(0.3, 1.0, 0.0)),
+])
+def test_an_all_q_direct_row_builds_no_start(cid, m, c, r, closed_qs, monkeypatch):
+    # the margin at Q_MAX decides all-q before any closed evaluation
+    counted = _Counted(monkeypatch)
+    res = critical_q(cid, "direct", m, c, r)
+    assert res.boundary == scan_module.BOUNDARY_ALL_Q
+    assert counted.qs == [Q_MAX]
+    assert closed_qs == []
 
 
 def test_a_closed_margin_positive_to_its_top_probes_it_once_and_last(monkeypatch):

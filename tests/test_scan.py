@@ -325,12 +325,18 @@ class TestPastOracleReach:
         assert res.boundary == BOUNDARY_ALL_Q and res.q_star == SCAN_MODULE.Q_MAX
         assert critical_q(CriterionId.LAMBDA_RTAU_IN_K, "direct", 1.0, FLAT, r).q_star > 1.0 - 1e-5
 
-    def test_lambda_without_rtau_still_raises(self):
-        # at m = 1 the margin at Q_MAX would be certified for any r, but with
-        # no r it is an error, not the all-q bound
+    @pytest.mark.parametrize("variant", ["paper", "rederived", "direct"])
+    @pytest.mark.parametrize("cid", [CriterionId.LAMBDA_RTAU_IN_S, CriterionId.LAMBDA_RTAU_IN_K])
+    def test_lambda_without_rtau_still_raises(self, cid, variant, monkeypatch):
+        # at m = 1 the direct margin at Q_MAX would be certified for any r,
+        # but with no r it is an error, not the all-q bound; critical_q
+        # checks r once, before its first probe
+        calls = []
+        monkeypatch.setattr(SCAN_MODULE, "_margin", lambda *args: calls.append(args) or 0.0)
         c = SpiralClassParams(0.0, 0.5, 0.0)
-        with pytest.raises(ValueError, match="requires R\\^tau parameters"):
-            critical_q(CriterionId.LAMBDA_RTAU_IN_S, "direct", 1.0, c, None)
+        with pytest.raises(ValueError, match=f"^{cid.value} requires R\\^tau parameters$"):
+            critical_q(cid, variant, 1.0, c, None)
+        assert calls == []
 
 
 class TestCrossVariantRoots:
@@ -503,6 +509,10 @@ class TestScan:
     def test_row_captures_m_below_one(self):
         rows = scan(CriterionId.THETA_IN_S, "direct", (0.5,), (0.0,), (0.0,), (0.0,))
         assert rows[0].error == "shape parameter m must be >= 1, got 0.5"
+
+    def test_row_without_rtau_reports_it_before_m(self):
+        rows = scan(CriterionId.LAMBDA_RTAU_IN_K, "direct", (0.5,), (0.0,), (0.0,), (0.0,))
+        assert rows[0].error == "lambda-in-k requires R^tau parameters"
 
     def test_row_captures_non_monotone_margin(self, monkeypatch):
         def non_monotone(*args, **kwargs):

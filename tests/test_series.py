@@ -315,6 +315,16 @@ def _draw(rng):
     return PascalParams(float(m), float(q))
 
 
+@pytest.mark.parametrize("size", [1, 512, 5215, 16384, 10**17])
+def test_order_blocks_tile_the_orders_from_the_first_block_given(size):
+    # summation.sum_J's walk: j = 0..99,999 from a first block of its own
+    blocks = list(order_blocks(99_999, 0, size))
+    assert blocks[0][0] == 0 and blocks[-1][1] == 100_000
+    assert all(hi == n0 for (_, hi), (n0, _) in zip(blocks, blocks[1:]))
+    lengths = [hi - n0 for n0, hi in blocks[:-1]]
+    assert lengths == [min(size * 2**k, 16384) for k in range(len(lengths))]
+
+
 def test_block_walk_equals_the_single_cumprod_bit_for_bit():
     rng = np.random.default_rng(8)
     for _ in range(300):

@@ -207,6 +207,13 @@ class TestSumJ:
         with pytest.raises(SummationDivergenceError):
             sum_J(PascalParams(1.5, 1.0 - 1e-9), 0.5)
 
+    def test_refuses_a_sum_that_stops_only_past_the_cap(self):
+        # its stop rule is first met only in a block that would end past
+        # TRUNCATION_CAP terms
+        p = PascalParams(1.0004619058677051, 0.9997234719728562)
+        with pytest.raises(SummationDivergenceError, match="within 100000 terms"):
+            sum_J(p, 0.15783463711361392)
+
 
 class TestOracle:
     def test_weight_one_matches_S0(self):
