@@ -39,6 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# name -> default of each --<name>-grid option, in the order the help lists
+# them: scan's one-point grids, and discrepancy-report's criteria defaults
+_SCAN_GRIDS = {"m": (1.0,), "xi": (0.0,), "gamma": (0.0,), "rho": (0.0,)}
+_REPORT_GRIDS = {
+    "m": criteria.DEFAULT_M_GRID,
+    "q": criteria.DEFAULT_Q_GRID,
+    "xi": criteria.DEFAULT_XI_GRID,
+    "gamma": criteria.DEFAULT_GAMMA_GRID,
+    "rho": criteria.DEFAULT_RHO_GRID,
+}
+
+
 def _float_list(text: str) -> list[float]:
     # finite only: json has no inf or nan, and scan rows echo their grid values
     try:
@@ -105,27 +117,19 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_scan)
     p.add_argument("criterion")
     p.add_argument("--variant", choices=criteria.VARIANTS, default="direct")
-    p.add_argument("--m-grid", type=_float_list, default=[1.0])
-    p.add_argument("--xi-grid", type=_float_list, default=[0.0])
-    p.add_argument("--gamma-grid", type=_float_list, default=[0.0])
-    p.add_argument("--rho-grid", type=_float_list, default=[0.0])
+    _add_grids(p, _SCAN_GRIDS)
     p.add_argument("--degrees", action="store_true")
 
     p = sub.add_parser("discrepancy-report", parents=[common, rtau])
     p.set_defaults(run=_cmd_discrepancy)
     p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--m-grid", type=_float_list, default=list(criteria.DEFAULT_M_GRID))
-    p.add_argument("--q-grid", type=_float_list, default=list(criteria.DEFAULT_Q_GRID))
-    p.add_argument(
-        "--xi-grid", type=_float_list, default=list(criteria.DEFAULT_XI_GRID)
-    )
-    p.add_argument(
-        "--gamma-grid", type=_float_list, default=list(criteria.DEFAULT_GAMMA_GRID)
-    )
-    p.add_argument(
-        "--rho-grid", type=_float_list, default=list(criteria.DEFAULT_RHO_GRID)
-    )
+    _add_grids(p, _REPORT_GRIDS)
     return parser
+
+
+def _add_grids(p, defaults: dict) -> None:
+    for name, default in defaults.items():
+        p.add_argument(f"--{name}-grid", type=_float_list, default=list(default))
 
 
 def _human(payload: dict) -> list[str]:
@@ -177,10 +181,6 @@ def _emit(args, payload: dict, columns, records, status: int = 0) -> int:
     return status
 
 
-def _xi_radians(args) -> float:
-    return math.radians(args.xi) if args.degrees else args.xi
-
-
 def _resolve_criterion(name: str):
     """Returns (CriterionId, force_rho_zero)."""
     try:
@@ -188,6 +188,14 @@ def _resolve_criterion(name: str):
     except KeyError:
         valid = ", ".join(sorted(_CRITERIA))
         raise ValueError(f"unknown criterion {name!r} (valid: {valid})") from None
+
+
+def _class_from(args, force_rho0: bool = False) -> criteria.SpiralClassParams:
+    return criteria.SpiralClassParams(
+        xi=math.radians(args.xi) if args.degrees else args.xi,
+        gamma=args.gamma,
+        rho=0.0 if force_rho0 else args.rho,
+    )
 
 
 def _rtau_from(args) -> series.RTauParams:
@@ -229,11 +237,7 @@ def _cmd_identities(args) -> int:
 def _cmd_check(args) -> int:
     cid, force_rho0 = _resolve_criterion(args.criterion)
     p = series.PascalParams(args.m, args.q)
-    c = criteria.SpiralClassParams(
-        xi=_xi_radians(args),
-        gamma=args.gamma,
-        rho=0.0 if force_rho0 else args.rho,
-    )
+    c = _class_from(args, force_rho0)
     r = _rtau_from(args) if cid.needs_rtau else None
     if args.variant == "all":
         verdicts, disagreement = criteria.evaluate_all(cid, p, c, r)
@@ -270,35 +274,39 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _build_function(args):
-    """Returns (PowerSeries, tail_check) for verify-disk."""
-    if args.function in ("identity", "single"):
+# verify-disk's functions that are exact polynomials rather than truncations
+_EXACT_FUNCTIONS = ("identity", "single")
+
+
+def _build_function(args) -> series.PowerSeries:
+    if args.function in _EXACT_FUNCTIONS:
         # m and q go unused here, but params echoes them and json has no inf
         # or nan; the other functions refuse them through PascalParams
         _finite("m", args.m)
         _finite("q", args.q)
     if args.function == "identity":
-        return series.PowerSeries(), False
+        return series.PowerSeries()
     if args.function == "single":
-        return series.PowerSeries([complex(_finite("a2", args.a2))]), False
+        return series.PowerSeries([complex(_finite("a2", args.a2))])
     p = series.PascalParams(args.m, args.q)
     order = series.adaptive_truncation_order(p, threshold=1e-10, radius=0.995)
     theta = series.theta_series(p, order)
     if args.function == "theta":
-        return theta, True
+        return theta
     if args.function == "integral":
-        return series.integral_transform(theta), True
+        return series.integral_transform(theta)
     # lambda-rtau: argparse's choices refuse any other function
     r = _rtau_from(args)
-    return series.hadamard_convolve(theta, series.extremal_rtau_series(r, order)), True
+    return series.hadamard_convolve(theta, series.extremal_rtau_series(r, order))
 
 
 def _cmd_verify_disk(args) -> int:
-    f, tail_check = _build_function(args)
-    c = criteria.SpiralClassParams(xi=_xi_radians(args), gamma=args.gamma, rho=args.rho)
+    f = _build_function(args)
+    c = _class_from(args)
     grid = disk.DiskGrid(tuple(args.radii), args.angles)
     report = disk.verify_on_disk(
-        f, c, args.family, grid, tolerance=1e-6, tail_check=tail_check
+        f, c, args.family, grid, tolerance=1e-6,
+        tail_check=args.function not in _EXACT_FUNCTIONS,
     )
     payload = {
         "function": args.function,
@@ -336,19 +344,10 @@ def _cmd_scan(args) -> int:
 def _cmd_discrepancy(args) -> int:
     report = criteria.discrepancy_report(
         threshold=args.threshold,
-        m_grid=args.m_grid,
-        q_grid=args.q_grid,
-        xi_grid=args.xi_grid,
-        gamma_grid=args.gamma_grid,
-        rho_grid=args.rho_grid,
         r=_rtau_from(args),
+        **{f"{name}_grid": getattr(args, f"{name}_grid") for name in _REPORT_GRIDS},
     )
-    return _emit(
-        args,
-        report,
-        criteria.DISCREPANCY_FIELDS,
-        report["flagged_rows"],
-    )
+    return _emit(args, report, criteria.DISCREPANCY_FIELDS, report["flagged_rows"])
 
 
 def main(argv=None) -> int:

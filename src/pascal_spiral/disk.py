@@ -163,7 +163,8 @@ def verify_on_disk(
     functional at the witness by Horner's rule.  A denominator within
     DENOMINATOR_FLOOR, on the screen or at the witness, fails with min_value
     -inf at the point where it vanished; points_checked then counts the
-    rings before that point's ring.
+    rings before that point's ring.  Any other screen value that is not
+    finite (an overflowing series) raises ArithmeticError.
 
     tail_check guards against verifying a series whose truncation tail could
     dwarf the tolerance: the last stored coefficient times r_max^N must not
@@ -184,17 +185,25 @@ def verify_on_disk(
     angles = np.exp(2j * math.pi * np.arange(k) / k)
     # ring by ring in order of radius, k angles per ring
     z = (np.array(radii)[:, None] * angles).ravel()
-    a, b = _ring_values(f, _derivatives(family), radii, k)
-    num, den = _num_den_from(family, z, a, b, c.rho)
-    bad = np.abs(den) <= DENOMINATOR_FLOOR
-    if bad.any():
-        return _denominator_exit(z, int(np.argmax(bad)), k)
-    vals = (cmath.exp(1j * c.xi) * num / den).real - c.gamma * math.cos(c.xi)
-    j = int(np.argmin(vals))  # first occurrence: innermost ring, smallest angle
-    try:
-        best = _functional_scalar(f, complex(z[j]), c, family)
-    except DenominatorError:
-        return _denominator_exit(z, j, k)
+    # an overflowing series must neither warn nor reach the minimum as nan
+    # (np.argmin reads nan as the minimum): a non-finite screen raises
+    with np.errstate(all="ignore"):
+        a, b = _ring_values(f, _derivatives(family), radii, k)
+        num, den = _num_den_from(family, z, a, b, c.rho)
+        bad = np.abs(den) <= DENOMINATOR_FLOOR
+        if bad.any():
+            return _denominator_exit(z, int(np.argmax(bad)), k)
+        vals = (cmath.exp(1j * c.xi) * num / den).real - c.gamma * math.cos(c.xi)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise ArithmeticError(
+                f"functional not finite at z = {complex(z[np.argmin(finite)])}"
+            )
+        j = int(np.argmin(vals))  # first occurrence: innermost ring, smallest angle
+        try:
+            best = _functional_scalar(f, complex(z[j]), c, family)
+        except DenominatorError:
+            return _denominator_exit(z, j, k)
     passed = best > -tolerance
     return DiskReport(
         min_value=best,

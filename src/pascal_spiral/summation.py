@@ -68,9 +68,10 @@ def oracle_sum(
     orders = [0]  # orders[i] stays 0 while row i is open
     total = 0.0
     last_term = [m * q]
-    # raw coefficients and their terms overflow to inf at large m; such a
-    # row's tail bound is inf, it cannot stop, and it raises at the cap
-    with np.errstate(over="ignore"):
+    # raw coefficients, weights and their terms overflow to inf at large m
+    # or a huge weight, and inf - inf or inf/inf is nan; such a row's tail
+    # bound is inf or nan, it cannot stop, and it raises at the cap
+    with np.errstate(over="ignore", invalid="ignore"):
         for n0, n, ratios, coeffs in blocks:
             # weights are evaluated once on n0..hi and sliced into w(n), w(n+1)
             w_ext = np.asarray(weight(n), dtype=float)

@@ -5,6 +5,7 @@ import sys
 import jsonschema
 import pytest
 
+from pascal_spiral import cli, criteria
 from pascal_spiral.cli import _CRITERIA, SCAN_CSV_COLUMNS
 from pascal_spiral.schemas import SCHEMAS
 
@@ -53,6 +54,8 @@ class TestExitCodes:
         (("verify-disk", "--function", "single", "--m=-inf"), "m must be finite, got -inf"),
         (("verify-disk", "--function", "single", "--a2", "inf"), "a2 must be finite, got inf"),
         (("verify-disk", "--function", "single", "--a2", "nan"), "a2 must be finite, got nan"),
+        (("verify-disk", "--function", "single", "--a2", "1e308", "--angles", "8",
+          "--radii", "0.5"), "functional not finite at z = (0.5+0j)"),
         (("verify-disk", "--function", "theta", "--m", "inf"),
          "shape parameter m must be finite, got inf"),
         (("verify-disk", "--function", "integral", "--q", "nan"),
@@ -62,8 +65,8 @@ class TestExitCodes:
     ], ids=[
         "tau-nan", "tau-inf", "delta-inf", "m-inf", "grid-inf", "threshold-nan",
         "disk-identity-m-inf", "disk-identity-q-nan", "disk-single-m-inf",
-        "disk-single-a2-inf", "disk-single-a2-nan", "disk-theta-m-inf",
-        "disk-integral-q-nan", "disk-lambda-m-nan",
+        "disk-single-a2-inf", "disk-single-a2-nan", "disk-single-a2-overflow",
+        "disk-theta-m-inf", "disk-integral-q-nan", "disk-lambda-m-nan",
     ])
     def test_non_finite_input_exits_one_with_its_reason(self, args, reason):
         # json has no inf or nan; the input is refused before any sum or
@@ -108,6 +111,26 @@ def test_theorem_and_corollary_numbers():
     for i, name in enumerate(names, 1):
         want.update({name: (name, False), f"thm{i}": (name, False), f"cor{i}": (name, True)})
     assert {key: (cid.value, rho0) for key, (cid, rho0) in _CRITERIA.items()} == want
+
+
+class TestParserDefaults:
+    def test_discrepancy_report_grids_are_the_criteria_defaults(self):
+        args = cli._build_parser().parse_args(["discrepancy-report"])
+        assert args.m_grid == list(criteria.DEFAULT_M_GRID)
+        assert args.q_grid == list(criteria.DEFAULT_Q_GRID)
+        assert args.xi_grid == list(criteria.DEFAULT_XI_GRID)
+        assert args.gamma_grid == list(criteria.DEFAULT_GAMMA_GRID)
+        assert args.rho_grid == list(criteria.DEFAULT_RHO_GRID)
+
+    def test_scan_grids_are_one_point(self):
+        args = cli._build_parser().parse_args(["scan", "thm1"])
+        grids = (args.m_grid, args.xi_grid, args.gamma_grid, args.rho_grid)
+        assert grids == ([1.0], [0.0], [0.0], [0.0])
+
+    def test_default_discrepancy_report_is_the_library_default(self, capsys):
+        assert cli.main(["discrepancy-report"]) == 0
+        want = {"command": "discrepancy-report", **criteria.discrepancy_report()}
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 class TestDeterminism:
@@ -225,6 +248,14 @@ class TestConveniences:
         a = run_cli("check", "thm1", "--q", "0.3", "--xi", "60", "--degrees")
         b = run_cli("check", "thm1", "--q", "0.3", "--xi", "1.0471975511965976")
         assert json.loads(a.stdout)["verdicts"] == json.loads(b.stdout)["verdicts"]
+
+    def test_degrees_flag_converts_verify_disk_xi(self, capsys):
+        argv = ["verify-disk", "--function", "theta", "--q", "0.3", "--angles", "8"]
+        cli.main([*argv, "--xi", "30", "--degrees"])
+        a = json.loads(capsys.readouterr().out)
+        cli.main([*argv, "--xi", "0.5235987755982988"])
+        b = json.loads(capsys.readouterr().out)
+        assert a == b
 
     def test_corollary_alias_forces_rho_zero(self):
         a = run_cli("check", "cor1", "--q", "0.3", "--rho", "0.6")

@@ -301,16 +301,16 @@ def test_denominator_vanishing_at_the_witness_alone_fails_there(monkeypatch):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_all_nan_grid_fails_at_first_point():
-    # every value overflows to nan; the ring-by-ring walk skipped rings
-    # whose minimum was nan and passed this grid with min_value = inf
-    f = PowerSeries([1e308] * 400)
-    rep = verify_on_disk(f, FLAT, "S", DiskGrid((0.1, 0.999), 16), tail_check=False)
-    assert not rep.passed
-    assert math.isnan(rep.min_value)
-    assert rep.witness == 0.1
-    assert rep.points_checked == 32
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["S", "K"])
+@pytest.mark.parametrize("coeffs", [[1e308] * 400, [1e308], [-1e308]], ids=["400", "a2", "-a2"])
+def test_non_finite_screen_raises_without_warning(coeffs, family):
+    # 2 a_2 overflows in the derivative, and every screen value is nan: the
+    # ring-by-ring walk once passed such a grid with min_value = inf, and
+    # np.argmin then read nan as the minimum at the first grid point
+    f = PowerSeries(coeffs)
+    with pytest.raises(ArithmeticError, match=r"functional not finite at z = \(0\.1\+0j\)"):
+        verify_on_disk(f, FLAT, family, DiskGrid((0.1, 0.999), 16), tail_check=False)
 
 
 def _ring_cases():
