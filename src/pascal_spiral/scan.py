@@ -35,13 +35,16 @@ summing.  This is the only early "cannot stop" rule, and it sits here,
 where the monotone weights it needs are known.  Since w >= 0 is
 nondecreasing and every coefficient ratio q(n+m-1)/n is >= q, each term is
 t_n >= t_2 q^(n-2), each partial sum is <= t_n (n-1) q^-(n-2), and the
-oracle's tail bound is >= t_n q/(1-q).  So no order n <= N = TRUNCATION_CAP
-meets the stop rule tail < TAIL_THRESHOLD max(1, |partial|) when
-q^(N-1) >= 2 TAIL_THRESHOLD (1-q)(N-1) and
-w(2) m q q^(N-1) >= 2 TAIL_THRESHOLD (1-q), the 2 being slack for rounding.
-The first covers 1-q up to about 2.8e-4, against the oracle's true reach
-of about 3.6e-4.  The second keeps out a sum whose terms are all tiny (a
-lambda criterion at |tau| near 1e-30), which does stop at once.
+oracle's tail bound is >= t_n q/(1-q).  The stop rule
+tail < TAIL_THRESHOLD max(float_min, |partial|) is relative, so no order
+n <= N = TRUNCATION_CAP meets it when q^(N-1) >= 2 TAIL_THRESHOLD (1-q)(N-1),
+the 2 being slack for rounding: a condition on q alone, whatever the
+weight's scale.  It covers 1-q up to about 2.8e-4, against the oracle's
+true reach of about 3.6e-4.  The proof needs the first term w(2) m q to be
+nonzero, so that the partial sums are positive (a sum of zeros stops at
+once).  Every direct w(2) is > 0, weight_S(2) = A + 1-gamma times 2, 1/2 or
+a positive R^tau bound; only a first term within a factor of about 1e12 of
+the float underflow could round a later term to 0.
 
 At q = 0 the lhs is 0 and the margin 1-gamma > 0, so a root is either
 interior or absent up to Q_MAX, where a margin >= 0 means all q, as in
@@ -71,8 +74,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .criteria import (
-    _DIRECT_WEIGHTS, CriterionId, SpiralClassParams, _lhs_closed, _lhs_limit,
-    _lhs_rtau_exact, evaluate_criterion, weight_S,
+    CriterionId, SpiralClassParams, _lhs_closed, _lhs_limit, _lhs_rtau_exact,
+    evaluate_criterion,
 )
 from .series import TAIL_THRESHOLD, TRUNCATION_CAP, PascalParams, RTauParams
 from .summation import SummationDivergenceError
@@ -133,7 +136,7 @@ class ScanRow:
 
 def _margin(cid, variant, m, q, c, r) -> float:
     p = PascalParams(m, q)
-    if not (variant == "direct" and _past_oracle_reach(cid, p, c, r)):
+    if not (variant == "direct" and _past_oracle_reach(q)):
         try:
             verdict = evaluate_criterion(cid, p, c, r, variant)
         except (SummationDivergenceError, ArithmeticError):
@@ -150,20 +153,13 @@ def _margin(cid, variant, m, q, c, r) -> float:
     return bound if bound >= 0.0 else -math.inf
 
 
-def _past_oracle_reach(cid, p, c, r) -> bool:
-    """True only where oracle_sum cannot meet its stop rule on the direct
-    sum of cid by TRUNCATION_CAP, so that the sum would raise
-    SummationDivergenceError: the certificate of the module docstring, each
-    side with a factor 2 of slack for rounding.  A lambda criterion needs
-    its r, which critical_q checks first."""
-    q, n = p.q, TRUNCATION_CAP - 1.0
-    lead, slack = q**n, 2.0 * TAIL_THRESHOLD * (1.0 - q)
-    # the first test fails at every q below about 1 - 2.8e-4, before the
-    # weight is formed
-    if not lead >= slack * n:
-        return False
-    w2 = _DIRECT_WEIGHTS[cid](2.0, weight_S(2.0, c), r)
-    return w2 * p.m * q * lead >= slack
+def _past_oracle_reach(q: float) -> bool:
+    """True only where oracle_sum cannot meet its stop rule on a direct sum
+    by TRUNCATION_CAP, so that the sum would raise SummationDivergenceError:
+    the certificate of the module docstring, with a factor 2 of slack for
+    rounding.  It assumes the sum's first term w(2) m q is not 0."""
+    n = TRUNCATION_CAP - 1.0
+    return q**n >= 2.0 * TAIL_THRESHOLD * (1.0 - q) * n
 
 
 def critical_q(

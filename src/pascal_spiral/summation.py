@@ -12,6 +12,7 @@ m where the scaled one does not.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,9 @@ from .series import (
 )
 
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
+# the smallest normal float: the floor of oracle_sum's relative stop rule
+_FLOAT_MIN = sys.float_info.min
 # the factor by which terms may cancel in a sum that a closed form takes
 # (sum_J, criteria._lhs_rtau_exact) before it refuses: 2^12 eps is about
 # 9e-13 relative
@@ -54,9 +57,12 @@ def oracle_sum(
     so a k-row sum's temporaries hold k x up to 16,385 values.
 
     Termination uses the geometric tail bound
-    |t_N| rhat/(1-rhat) < TAIL_THRESHOLD*max(1, |partial|), where rhat
-    majorises every remaining term ratio (the coefficient ratio q(n+m-1)/n
-    decreases in n for m >= 1).  If a row has not met it by order cap, the
+    |t_N| rhat/(1-rhat) < TAIL_THRESHOLD*max(float_min, |partial|), where
+    rhat majorises every remaining term ratio (the coefficient ratio
+    q(n+m-1)/n decreases in n for m >= 1) and float_min is the smallest
+    normal float.  The rule is relative at every scale of the sum: the
+    floor only lets a row of zeros stop, and the strict < keeps a tail that
+    is inf or nan from meeting it.  If a row has not met it by order cap, the
     first such row raises SummationDivergenceError."""
     m, q = p.m, p.q
     if q == 0.0:
@@ -92,7 +98,7 @@ def oracle_sum(
             rhat = np.maximum(wratio, 1.0, out=wratio)
             rhat *= ratios[:-1]
             done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(
-                1.0, np.abs(prefix)
+                _FLOAT_MIN, np.abs(prefix)
             )
             if done.any():
                 first = done.argmax(axis=1)

@@ -73,14 +73,16 @@ def test_direct_theta_in_s_gives_a_verdict_at_large_m():
 
 @pytest.mark.xfail(
     raises=AssertionError,
-    reason="oracle_sum's stop rule |tail| < TAIL_THRESHOLD max(1, |partial|) is "
-    "absolute below 1: the direct theta-in-k lhs 4.8e-5 at m = 12, q = 1e-6 is "
-    "off by 1.2e-10 relative (1.3e-11 at m = 3)",
+    reason="criteria._lhs_direct takes the theta-in-s and integral-in-k lhs as "
+    "(values - B(1-t))/t, which cancels at small q: at m = 2, q = 1e-6 the lhs "
+    "2.0e-6 is off by 4.0e-11 relative (2.9e-11 at m = 1, 3.0e-11 at m = 12; "
+    "ROADMAP item 24)",
 )
-def test_direct_lhs_below_one_is_accurate_relative_to_itself():
-    lhs = evaluate_criterion(CriterionId.THETA_IN_K, PascalParams(12.0, 1e-6), FLAT).lhs
-    want = (1.0 - 1e-6) ** 12 * _ten_terms(12.0, 1e-6, lambda n: n * n)
-    assert math.isclose(lhs, want, rel_tol=1e-13)
+def test_direct_theta_in_s_lhs_is_accurate_at_small_q():
+    # the lhs of both is A E[X]/t = A m q/(1-q)^(m+1), A = 1 for FLAT
+    for cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
+        lhs = evaluate_criterion(cid, PascalParams(2.0, 1e-6), FLAT).lhs
+        assert math.isclose(lhs, 2.0 * 1e-6 / (1.0 - 1e-6) ** 3, rel_tol=1e-13), cid
 
 
 _NON_FINITE_CHECK = pytest.mark.xfail(
@@ -147,11 +149,10 @@ def test_small_roots_through_m_meet_the_margin_tolerance():
 
 @pytest.mark.xfail(
     raises=AssertionError,
-    reason="oracle_sum's ratio bound max(1, w(n+1)/w(n)) q(n+m-1)/n stays >= 1 "
-    "up to n = q/(1-q) for a weight that grows like n, so the direct sum cannot "
-    "stop past 1-q = 1e-5 however small its terms; the margin reads -inf there "
-    "and ITP closes on the jump: q* = 0.9999900000926409, residual_margin 1.0, "
-    "31 steps (ROADMAP item 13)",
+    reason="oracle_sum's stop rule is relative, so the direct sum cannot stop "
+    "past 1-q = 3.6e-4 however small its terms; the margin reads -inf there "
+    "(L = inf for lambda-in-k) and ITP closes on the jump: q* = "
+    "0.9996416294875523, residual_margin 1.0, 36 steps (ROADMAP items 4 and 13)",
 )
 def test_direct_lambda_in_k_with_tiny_tau_is_all_q():
     # the lhs stays below about 1e-20 up to Q_MAX

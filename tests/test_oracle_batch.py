@@ -32,6 +32,7 @@ from pascal_spiral import (
 from pascal_spiral import criteria, summation
 from pascal_spiral.criteria import _columns, _lhs_closed, _lhs_direct
 from pascal_spiral.series import TRUNCATION_CAP, order_blocks, rtau_bound
+from test_known_defects import FLAT, _ten_terms
 from test_oracle_doomed import _full_walk
 
 Q_GRID = (1e-6, 0.3, 0.99)
@@ -72,29 +73,27 @@ def _slope(c):
     return (1.0 - c.rho) * c.sec_xi + c.rho * (1.0 - c.gamma)
 
 
-def _basis(cid, r, a):
-    """The rows a*b0(n) and b1(n) of cid's direct weight A*b0(n) + B*b1(n),
+def _basis(cid, r):
+    """The rows b0(n) and b1(n) of cid's direct weight A*b0(n) + B*b1(n),
     each product in the order weight_S and weight_K take it."""
     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
-        return lambda n: (n - 1.0) * a, np.ones_like
+        return lambda n: n - 1.0, np.ones_like
     if cid is CriterionId.THETA_IN_K:
-        return lambda n: n * ((n - 1.0) * a), lambda n: n
+        return lambda n: n * (n - 1.0), lambda n: n
     if cid is CriterionId.G_IN_S:
-        return lambda n: (n - 1.0) * a / n, lambda n: 1.0 / n
+        return lambda n: (n - 1.0) / n, lambda n: 1.0 / n
     if cid is CriterionId.LAMBDA_RTAU_IN_S:
-        return lambda n: (n - 1.0) * a * rtau_bound(n, r), lambda n: rtau_bound(n, r)
-    return lambda n: n * ((n - 1.0) * a) * rtau_bound(n, r), lambda n: n * rtau_bound(n, r)
+        return lambda n: (n - 1.0) * rtau_bound(n, r), lambda n: rtau_bound(n, r)
+    return lambda n: n * (n - 1.0) * rtau_bound(n, r), lambda n: n * rtau_bound(n, r)
 
 
-def _moment_lhs(cid, p, c, r, classes):
-    """Direct lhs of the class c as a batch of the classes gives it: the
-    two basis rows, row 0 scaled by the largest A of the batch, each summed
-    alone and combined as A*(M0/a) + B*M1."""
+def _moment_lhs(cid, p, c, r):
+    """Direct lhs of the class c as a batch gives it: the two basis rows,
+    each summed alone and combined as A*M0 + B*M1."""
     t = (1.0 - p.q) ** p.m
-    a = max(_slope(other) for other in classes)
-    m0, m1 = (t * oracle_sum(w, p)[0] for w in _basis(cid, r, a))
+    m0, m1 = (t * oracle_sum(w, p)[0] for w in _basis(cid, r))
     b = 1.0 - c.gamma
-    value = _slope(c) * (m0 / a) + b * m1
+    value = _slope(c) * m0 + b * m1
     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
         return (value - b * (1.0 - t)) / t
     return value
@@ -119,7 +118,7 @@ def test_batch_rows_bit_equal_to_scalar_lhs(cid):
             batch = _lhs_direct((cid,), p, _columns(classes[:k]), r)[0]
             assert len(batch) == k
             for c, value in zip(classes, batch):
-                moment = _moment_lhs(cid, p, c, r, classes[:k])
+                moment = _moment_lhs(cid, p, c, r)
                 assert type(value) is float and value == moment, (cid, m, q, k, c)
 
 
@@ -158,7 +157,7 @@ def test_one_class_stays_on_floats(monkeypatch):
 
 
 def _mp_basis_sums(m, q, r):
-    """The raw sums of every criterion's basis rows b0, b1 (_basis at a = 1), by
+    """The raw sums of every criterion's basis rows b0, b1 (_basis), by
     mpmath at 40 digits: {cid: (sum of b0(n) c_n, sum of b1(n) c_n)} with
     c_n = C(n+m-2, m-1) q^(n-1), summed from n = 2 until a geometric bound
     on the rest of every sum is below 1e-24 of it."""
@@ -196,10 +195,11 @@ def _mp_basis_sums(m, q, r):
 def test_direct_paths_agree_with_a_40_digit_sum():
     # the one-row values of evaluate_criterion and the two-row values of a
     # batch, of all classes and of each alone, against the same lhs summed
-    # at 40 digits, on the scale of max(1, |lhs|); rtau is scaled by
-    # 1 + vartheta(n-1) with vartheta 0.35.
-    # sec(xi) reaches 1e4 at xi = -1.5707, where an unscaled row 0 would
-    # carry the oracle's absolute stop error times A
+    # at 40 digits, relative to |lhs|; rtau is scaled by 1 + vartheta(n-1)
+    # with vartheta 0.35, and sec(xi) reaches 1e4 at xi = -1.5707.
+    # theta-in-s and integral-in-k are held on the scale of max(1, |lhs|):
+    # their (values - B(1-t))/t step cancels at small q (the strict xfail
+    # test_direct_theta_in_s_lhs_is_accurate_at_small_q)
     classes = _classes(7, seed=5) + [SpiralClassParams(-1.5707, 0.0, 0.0), SpiralClassParams(0.0, 0.99, 0.99)]
     with mpmath.workdps(40):
         for m, q in itertools.product(M_GRID, Q_GRID):
@@ -215,11 +215,21 @@ def test_direct_paths_agree_with_a_40_digit_sum():
                     ref = t * (a * sums[cid][0] + b * sums[cid][1])
                     if cid in (CriterionId.THETA_IN_S, CriterionId.G_IN_K):
                         ref = (ref - b * (1 - t)) / t
-                    scale = 1e-13 * max(1.0, abs(float(ref)))
+                        scale = 1e-13 * max(1.0, abs(float(ref)))
+                    else:
+                        scale = 1e-13 * abs(float(ref))
                     scalar = evaluate_criterion(cid, p, c, r).lhs
                     [[alone]] = _lhs_direct((cid,), p, _columns([c]), r)
                     for got in (value, scalar, alone):
                         assert abs(got - ref) <= scale, (cid, m, q, c, got, ref)
+
+
+def test_direct_lhs_below_one_is_accurate_relative_to_itself():
+    # the direct theta-in-k lhs 4.8e-5 at m = 12, q = 1e-6, against the ten
+    # terms that carry it; the stop rule is relative below 1 as above it
+    lhs = evaluate_criterion(CriterionId.THETA_IN_K, PascalParams(12.0, 1e-6), FLAT).lhs
+    want = (1.0 - 1e-6) ** 12 * _ten_terms(12.0, 1e-6, lambda n: n * n)
+    assert math.isclose(lhs, want, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("xi_grid, gamma_grid, rho_grid", [
@@ -477,7 +487,7 @@ def test_discrepancy_report_matches_point_by_point():
         for cid in CriterionId:
             r = RTAU if cid.needs_rtau else None
             for m, q, c in itertools.product(grids["m_grid"], grids["q_grid"], classes):
-                direct = _moment_lhs(cid, PascalParams(m, q), c, r, classes)
+                direct = _moment_lhs(cid, PascalParams(m, q), c, r)
                 expected.append((cid.value, m, q, c.xi, c.gamma, c.rho, direct))
         rows = report["flagged_rows"]
         assert report["points_checked"] == len(expected)

@@ -5,6 +5,7 @@ bound, so it walks every block up to the cap and raises there, as any other
 unmet sum does."""
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ def _full_walk(weight, p: PascalParams, cap: int = TRUNCATION_CAP):
     """The block walk written apart from oracle_sum: every row's stop test at
     every order up to the cap, in the same blocks as oracle_sum, each cut into
     sub-chunks of 16384 // k columns whose running sum carries from chunk to
-    chunk.  An independent reference for oracle_sum's one cumsum per block."""
+    chunk.  An independent reference for oracle_sum's one cumsum per block,
+    on its documented rule tail < TAIL_THRESHOLD max(float_min, |partial|)
+    with float_min the smallest normal float."""
     m, q = p.m, p.q
     k, orders, total, coeff, last_term = 0, [0], 0.0, m * q, [m * q]
     for n0, hi in order_blocks(cap):
@@ -74,7 +77,8 @@ def _full_walk(weight, p: PascalParams, cap: int = TRUNCATION_CAP):
             wratio = np.where(wnext == 0.0, 1.0, np.inf)
             np.divide(wnext, wn, out=wratio, where=wn != 0.0)
             rhat = ratios[j0:j1] * np.maximum(wratio, 1.0)
-            done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(1.0, np.abs(prefix))
+            floor = sys.float_info.min
+            done = geometric_tail(terms, rhat) < TAIL_THRESHOLD * np.maximum(floor, np.abs(prefix))
             for i in range(k):
                 j = int(done[i].argmax())
                 if not orders[i] and done[i, j]:
